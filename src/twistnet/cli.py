@@ -19,11 +19,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset, load_csv, save_csv, zscore_apply, zscore_fit
+from .data import Dataset, NormStats, load_csv, save_csv, zscore_apply, zscore_fit
 from .errors import (
     CapacityError,
     ConfigError,
@@ -65,33 +65,6 @@ _APPROACH_TOKENS = {
     "pairwise_sum": PAIRWISE_SUM,
 }
 
-# bool is checked before int: isinstance(True, int) holds in Python
-_MODEL_FIELDS = {
-    "hidden1": int,
-    "hidden2": int,
-    "n_residual_blocks": int,
-    "dropout_rate": float,
-    "use_batchnorm": bool,
-}
-_COMB_FIELDS = {
-    "m": int,
-    "approach": str,
-    "max_combined": int,
-    "augment_original": bool,
-    "append_global_interaction": bool,
-}
-_TRAIN_FIELDS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "l2_lambda": float,
-    "early_stop_patience": int,
-    "val_fraction": float,
-    "beta1": float,
-    "beta2": float,
-    "adam_epsilon": float,
-    "shuffle_each_epoch": bool,
-}
 _TOP_FIELDS = {
     "dataset": str,
     "label_column": (str, int),
@@ -118,22 +91,6 @@ class RunConfig:
     combination: CombinationSpec | None = field(default_factory=CombinationSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def to_dict(self) -> dict:
-        model = self.model.to_dict()
-        model.pop("seed", None)
-        train = self.train.to_dict()
-        train.pop("seed", None)
-        return {
-            "dataset": self.dataset,
-            "label_column": self.label_column,
-            "output_dir": self.output_dir,
-            "kind": self.kind,
-            "seed": self.seed,
-            "model": model,
-            "combination": self.combination.to_dict() if self.combination else None,
-            "train": train,
-        }
-
 
 def normalize_approach(token: str) -> str:
     if token not in _APPROACH_TOKENS:
@@ -143,7 +100,14 @@ def normalize_approach(token: str) -> str:
     return _APPROACH_TOKENS[token]
 
 
+def _schema(cls) -> dict:
+    """Config key -> type, read off the dataclass defaults; the seed is set
+    once at the top level, so the sections do not accept it."""
+    return {f.name: type(f.default) for f in fields(cls) if f.name != "seed"}
+
+
 def _type_ok(value, expected) -> bool:
+    # bool is checked before int: isinstance(True, int) holds in Python
     if expected is bool or expected == (bool,):
         return isinstance(value, bool)
     if isinstance(value, bool):
@@ -190,12 +154,12 @@ def parse_run_config(doc) -> RunConfig:
     for key in _REQUIRED_TOP:
         if key not in top:
             problems.append(f"missing required key '{key}'")
-    model_doc = _check_section("model", top.pop("model", {}), _MODEL_FIELDS, problems)
-    train_doc = _check_section("train", top.pop("train", {}), _TRAIN_FIELDS, problems)
+    model_doc = _check_section("model", top.pop("model", {}), _schema(ModelConfig), problems)
+    train_doc = _check_section("train", top.pop("train", {}), _schema(TrainConfig), problems)
     if not isinstance(comb_doc, dict):
         problems.append("key 'combination' expects an object or null")
         comb_doc = {}
-    comb_doc = _check_section("combination", comb_doc, _COMB_FIELDS, problems)
+    comb_doc = _check_section("combination", comb_doc, _schema(CombinationSpec), problems)
 
     kind = top.get("kind", KIND_TCN)
     if "kind" in top and kind not in MODEL_KINDS:
@@ -236,27 +200,30 @@ def load_run_config(path) -> RunConfig:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
+def _combine(ds: Dataset, spec: CombinationSpec | None):
+    """Expand ``ds`` over every m-subset of its features and name the new
+    columns. Returns (combined dataset, subsets); without a spec, ``ds``
+    passes through unchanged with subsets None."""
+    if spec is None:
+        return ds, None
+    combined = transform_dataset(ds.features, spec)
+    names = combined_feature_names(combined.subsets, spec, ds.feature_names)
+    return replace(ds, features=combined.values, feature_names=names), combined.subsets
+
+
 def _prepare_training_data(rc: RunConfig):
     """Load, combine, and standardize the training file.
 
     Returns (raw dataset, model-ready dataset, subsets or None, NormStats).
     """
     raw = load_csv(rc.dataset, rc.label_column)
-    if rc.combination is not None:
-        combined = transform_dataset(raw.features, rc.combination)
-        names = combined_feature_names(combined.subsets, rc.combination, raw.feature_names)
-        work = Dataset(combined.values, raw.labels, raw.class_names, names,
-                       label_name=raw.label_name)
-        subsets = combined.subsets
-    else:
-        work, subsets = raw, None
+    work, subsets = _combine(raw, rc.combination)
     stats = zscore_fit(work)
     return raw, zscore_apply(work, stats), subsets, stats
 
 
 def _build_model(rc: RunConfig, input_dim: int, n_classes: int):
     rc.model.seed = rc.seed
-    rc.model.combination = rc.combination
     if rc.kind == KIND_TCN:
         return build_tcn(input_dim, n_classes, rc.model)
     return build_baseline(rc.kind, input_dim, n_classes, rc.model)
@@ -273,10 +240,7 @@ def cmd_transform(args) -> int:
         approach=normalize_approach(args.approach),
         augment_original=args.augment_original,
     )
-    combined = transform_dataset(ds.features, spec)
-    names = combined_feature_names(combined.subsets, spec, ds.feature_names)
-    out = Dataset(combined.values, ds.labels, ds.class_names, names,
-                  label_name=ds.label_name)
+    out, _ = _combine(ds, spec)
     save_csv(out, args.output)
     return 0
 
@@ -305,9 +269,11 @@ def cmd_train(args) -> int:
         "best_epoch": history.best_epoch,
         "stopped_epoch": history.stopped_epoch,
     }
+    config = asdict(rc)
+    del config["model"]["seed"], config["train"]["seed"]  # set once, at the top
     results = {
-        "config": rc.to_dict(),
-        "history": history.to_list(),
+        "config": config,
+        "history": [asdict(record) for record in history.epochs],
         "final_metrics": final_metrics,
         "wall_time_seconds": wall,
         "rng_algorithm": RNG_ALGORITHM,
@@ -338,7 +304,6 @@ def cmd_eval(args) -> int:
             f"feature columns do not match checkpoint: missing {missing}, extra {extra}"
         )
     order = [ds.feature_names.index(n) for n in ckpt.feature_names]
-    features = ds.features[:, order]
 
     class_index = {name: i for i, name in enumerate(ckpt.class_names)}
     unknown = sorted(set(ds.class_names) - set(class_index))
@@ -346,18 +311,13 @@ def cmd_eval(args) -> int:
         raise DataError(f"labels not present at training time: {unknown}")
     labels = np.array([class_index[ds.class_names[v]] for v in ds.labels], dtype=np.int64)
 
-    if ckpt.combination is not None:
-        combined = transform_dataset(features, ckpt.combination)
-        if ckpt.subsets is not None and combined.subsets != ckpt.subsets:
-            raise DataError("checkpoint subsets do not match the combination spec")
-        features = combined.values
-        names = combined_feature_names(combined.subsets, ckpt.combination, ckpt.feature_names)
-    else:
-        names = ckpt.feature_names
+    raw = Dataset(ds.features[:, order], labels, ckpt.class_names, ckpt.feature_names,
+                  label_name=ckpt.label_column)
+    work, subsets = _combine(raw, ckpt.combination)
+    if ckpt.subsets is not None and subsets != ckpt.subsets:
+        raise DataError("checkpoint subsets do not match the combination spec")
     if ckpt.norm_mean is not None:
-        features = (features - ckpt.norm_mean) / ckpt.norm_std
-
-    work = Dataset(features, labels, ckpt.class_names, names, label_name=ckpt.label_column)
+        work = zscore_apply(work, NormStats(ckpt.norm_mean, ckpt.norm_std))
     result = evaluate(ckpt.model, work)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0

@@ -125,6 +125,14 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
                         f"column {feature_names[c_out]!r} as a float"
                     ) from None
                 c_out += 1
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, c = bad[0]
+        cell = rows[r][c + (c >= label_idx)]
+        raise ParseError(
+            f"{path}: non-finite cell {cell!r} at row {r + (2 if has_header else 1)}, "
+            f"column {feature_names[c]!r}"
+        )
     return Dataset(features, labels, class_names, feature_names, label_name=label_name)
 
 

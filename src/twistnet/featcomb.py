@@ -67,19 +67,6 @@ class CombinationSpec:
             n += 1
         return n
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "approach": self.approach,
-            "max_combined": self.max_combined,
-            "augment_original": self.augment_original,
-            "append_global_interaction": self.append_global_interaction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CombinationSpec":
-        return cls(**d)
-
 
 @dataclass
 class CombinedFeatures:

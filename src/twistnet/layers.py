@@ -247,7 +247,6 @@ class Dropout:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.last_mask = None
 
     def forward(self, x, mode=INFER, rng=None):
         if mode != TRAIN or self.rate == 0.0:
@@ -255,7 +254,6 @@ class Dropout:
         if rng is None:
             raise ValueError("dropout in train mode needs an Rng")
         keep = rng.uniform(x.size).reshape(x.shape) >= self.rate
-        self.last_mask = keep
         scale = 1.0 / (1.0 - self.rate)
         return x * keep * scale, (keep, scale)
 
@@ -433,37 +431,3 @@ def layer_from_entry(entry: dict):
         raise ValueError(f"unknown layer type {entry.get('type')!r}") from None
     return cls.from_entry(entry)
 
-
-def dense_forward(x, layer: Dense) -> np.ndarray:
-    """Convenience wrapper returning only the activation output."""
-    y, _ = layer.forward(np.asarray(x, dtype=np.float64))
-    return y
-
-
-def batchnorm_forward(x, layer: BatchNorm, mode: str) -> np.ndarray:
-    y, _ = layer.forward(np.asarray(x, dtype=np.float64), mode)
-    return y
-
-
-def batchnorm_backward(layer: BatchNorm, cache, upstream):
-    grad_x, (grad_gamma, grad_beta) = layer.backward(cache, upstream)
-    return grad_x, grad_gamma, grad_beta
-
-
-def dropout_forward(x, layer: Dropout, mode: str, rng: Rng | None = None) -> np.ndarray:
-    y, _ = layer.forward(np.asarray(x, dtype=np.float64), mode, rng)
-    return y
-
-
-def residual_forward(x, block: ResidualBlock) -> np.ndarray:
-    y, _ = block.forward(np.asarray(x, dtype=np.float64))
-    return y
-
-
-def residual_backward(block: ResidualBlock, cache, upstream):
-    return block.backward(cache, upstream)
-
-
-def conv1d_forward(x, layer: Conv1D) -> np.ndarray:
-    y, _ = layer.forward(np.asarray(x, dtype=np.float64))
-    return y

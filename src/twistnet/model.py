@@ -10,13 +10,13 @@ the class count, finished by softmax cross-entropy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import layers as L
-from .errors import ShapeError, StateError
+from .errors import DataError, SchemaError, ShapeError, StateError
 from .featcomb import CombinationSpec
 from .ndcore import RNG_ALGORITHM, Rng
 
@@ -28,7 +28,8 @@ MODEL_KINDS = (KIND_TCN, KIND_LOGISTIC, KIND_MLP, KIND_CNN1D)
 
 CHECKPOINT_FORMAT_KEYS = (
     "kind", "config", "combination", "subsets", "normalization_stats",
-    "layers", "rng_algorithm", "seed",
+    "layers", "rng_algorithm", "seed", "input_dim", "n_classes",
+    "feature_names", "class_names", "label_column",
 )
 
 
@@ -36,7 +37,6 @@ CHECKPOINT_FORMAT_KEYS = (
 class ModelConfig:
     """Architecture hyperparameters; defaults follow the reference stack."""
 
-    combination: CombinationSpec | None = None
     hidden1: int = 20
     hidden2: int = 10
     n_residual_blocks: int = 1
@@ -51,18 +51,6 @@ class ModelConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.n_residual_blocks < 0:
             raise ValueError("n_residual_blocks must be >= 0")
-        if self.combination is not None:
-            self.combination.validate()
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden1": self.hidden1,
-            "hidden2": self.hidden2,
-            "n_residual_blocks": self.n_residual_blocks,
-            "dropout_rate": self.dropout_rate,
-            "use_batchnorm": self.use_batchnorm,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -213,8 +201,8 @@ class Checkpoint:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     doc = {
         "kind": ckpt.model.kind,
-        "config": ckpt.config.to_dict(),
-        "combination": ckpt.combination.to_dict() if ckpt.combination else None,
+        "config": asdict(ckpt.config),
+        "combination": asdict(ckpt.combination) if ckpt.combination else None,
         "subsets": [list(s) for s in ckpt.subsets] if ckpt.subsets is not None else None,
         "normalization_stats": (
             {"mean": ckpt.norm_mean.tolist(), "std": ckpt.norm_std.tolist()}
@@ -233,12 +221,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"checkpoint {path} is not a JSON object")
+    missing = [key for key in CHECKPOINT_FORMAT_KEYS if key not in doc]
+    if missing:
+        raise SchemaError(f"checkpoint {path} is missing keys {missing}")
     stack = [L.layer_from_entry(e) for e in doc["layers"]]
     model = ModelGraph(doc["kind"], doc["input_dim"], doc["n_classes"], stack)
-    cfg = ModelConfig(combination=None, **doc["config"])
-    comb = CombinationSpec.from_dict(doc["combination"]) if doc["combination"] else None
-    cfg.combination = comb
+    cfg = ModelConfig(**doc["config"])
+    comb = CombinationSpec(**doc["combination"]) if doc["combination"] else None
     subsets = [tuple(s) for s in doc["subsets"]] if doc["subsets"] is not None else None
     stats = doc["normalization_stats"]
     mean = np.array(stats["mean"], dtype=np.float64) if stats else None

@@ -1,4 +1,4 @@
-"""Dense matrix helpers and the deterministic random stream.
+"""Array coercion helpers and the deterministic random stream.
 
 Conventions used everywhere in this package:
 
@@ -8,8 +8,6 @@ Conventions used everywhere in this package:
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -77,14 +75,6 @@ class Rng:
         return np.argsort(self.uniform(n), kind="stable")
 
 
-def rng_uniform(rng: Rng, n: int) -> np.ndarray:
-    return rng.uniform(n)
-
-
-def rng_normal(rng: Rng, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    return rng.normal(n, mean, std)
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting higher ranks."""
     out = np.asarray(a, dtype=np.float64)
@@ -100,35 +90,3 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            f"inner dimensions {a.shape[1]} and {b.shape[0]} differ"
-        )
-    return a @ b
-
-
-def elementwise(op: str, a, b=None) -> np.ndarray:
-    """Entrywise arithmetic: add/sub/mul (matrix), scale (scalar), map (callable)."""
-    a = as_matrix(a, "left operand")
-    if op in ("add", "sub", "mul"):
-        b = as_matrix(b, "right operand")
-        if a.shape != b.shape:
-            raise ShapeError(f"elementwise {op}: shapes {a.shape} and {b.shape} differ")
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        return a * b
-    if op == "scale":
-        return a * float(b)
-    if op == "map":
-        if not isinstance(b, Callable):
-            raise ValueError("map requires a callable")
-        return np.vectorize(b, otypes=[np.float64])(a)
-    raise ValueError(f"unknown elementwise op {op!r}")

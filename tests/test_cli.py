@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: transform, train, eval, gradcheck."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from twistnet.cli import main, normalize_approach, parse_run_config
-from twistnet.data import Dataset, load_csv, save_csv, synth_interaction
+from twistnet.data import Dataset, load_csv, save_csv, stratified_split, synth_interaction
 from twistnet.errors import ConfigError
 from twistnet.featcomb import (
     MULTIPLICATIVE,
@@ -31,6 +32,15 @@ def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# run-config overrides that between them take every preprocessing branch
+RUN_VARIANTS = {
+    "default": {},
+    "raw": {"combination": None},
+    "pairwise_m3": {"combination": {"m": 3, "approach": "pairwise", "augment_original": True,
+                                    "append_global_interaction": True}},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +261,62 @@ def trained(tmp_path, train_csv):
 
 
 def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
-    ckpt, results = trained(tmp_path, train_csv)
+    # train and eval share one preprocessing path, so the numbers agree bit for bit
+    for variant, extra in RUN_VARIANTS.items():
+        code, outdir = run_train(tmp_path, train_csv, variant, extra=extra)
+        assert code == 0
+        results = json.loads((outdir / "results.json").read_text())
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(outdir / "checkpoint.json"),
+                     "--input", str(train_csv)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"accuracy", "mean_loss", "confusion"}
+        fm = results["final_metrics"]
+        assert report["accuracy"] == fm["train_accuracy"], variant
+        assert report["mean_loss"] == fm["train_loss"], variant
+        assert sum(sum(row) for row in report["confusion"]) == 60
+
+
+# sha256 of checkpoint.json, of results.json less its wall_time_seconds line,
+# and of eval's stdout on the training CSV, for each of RUN_VARIANTS trained
+# 12 epochs on train_csv. Golden values: a change that is not meant to move
+# the numerics must leave every one of these bytes as it is.
+PINNED_SHA256 = {
+    "default": (
+        "7c65220b429b0429246041c5b7627f4ceaaaebf808693ba8749a2536f0eef72b",
+        "11fbe5d6897bb349874a55688a949eb149dbd7bd4d4b5b9b9e0ef50ddd4ad924",
+        "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
+    ),
+    "raw": (
+        "2f1349e48df3783d80a57d88f8bed4f496938dc7bb312077b06f1d088f1682a6",
+        "80fb99d7b4390b84726007df27c6a00c8eb75468dbea13910f7218477627c5ac",
+        "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
+    ),
+    "pairwise_m3": (
+        "6471873644c276b1bab4e70706e028571f79aee8e463eeb2007b3b394c65d4e1",
+        "d56d626e3c0d7b7c9ea7e54efb40a1151d6e3a8f29402af74efa57f4acd03375",
+        "45d34f5387e80716075b30d3d5e939ea359f5dbef5a395853ec8c79ead73d8fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(RUN_VARIANTS))
+def test_outputs_match_pinned_bytes(tmp_path, train_csv, monkeypatch, capsys, variant):
+    monkeypatch.chdir(tmp_path)  # relative paths keep results.json free of tmp_path
+    cfg = write_config(tmp_path, {"dataset": train_csv.name, "label_column": "label",
+                                  "output_dir": variant, "train": {"max_epochs": 12},
+                                  **RUN_VARIANTS[variant]})
+    assert main(["train", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(train_csv)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"accuracy", "mean_loss", "confusion"}
-    fm = results["final_metrics"]
-    assert abs(report["accuracy"] - fm["train_accuracy"]) < 1e-9
-    assert abs(report["mean_loss"] - fm["train_loss"]) < 1e-9
-    assert sum(sum(row) for row in report["confusion"]) == 60
+    assert main(["eval", "--checkpoint", f"{variant}/checkpoint.json",
+                 "--input", train_csv.name]) == 0
+    results = (tmp_path / variant / "results.json").read_bytes().splitlines(keepends=True)
+    got = [
+        (tmp_path / variant / "checkpoint.json").read_bytes(),
+        b"".join(line for line in results if b'"wall_time_seconds"' not in line),
+        capsys.readouterr().out.encode(),
+    ]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == PINNED_SHA256[variant]
 
 
 def test_eval_accepts_permuted_columns(tmp_path, train_csv, capsys):
@@ -287,6 +344,52 @@ def test_eval_missing_column_exit_2(tmp_path, train_csv, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--input", str(narrow_csv)]) == 2
     assert "x3" in capsys.readouterr().err
+
+
+def write_non_finite_csv(tmp_path, train_csv):
+    """train_csv with its third data row's x1 cell set to nan."""
+    lines = train_csv.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "nan"
+    lines[3] = ",".join(cells)
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_non_finite_cell_exits_2(tmp_path, train_csv, capsys):
+    nan_csv = write_non_finite_csv(tmp_path, train_csv)
+    code, outdir = run_train(tmp_path, nan_csv, "nanrun", extra={"combination": None})
+    assert code == 2
+    assert not (outdir / "results.json").exists()
+    err = capsys.readouterr().err
+    assert "row 4" in err and "'x1'" in err
+    ckpt, _ = trained(tmp_path, train_csv)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(nan_csv)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_missing_keys_exit_2(tmp_path, train_csv, capsys):
+    ckpt, _ = trained(tmp_path, train_csv)
+    doc = json.loads(ckpt.read_text())
+    del doc["layers"], doc["class_names"]
+    gutted = tmp_path / "gutted.json"
+    gutted.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(gutted), "--input", str(train_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "'layers'" in err and "'class_names'" in err
+
+
+def test_eval_checkpoint_not_json_exit_2(tmp_path, train_csv, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"kind": "tcn", ', encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(broken), "--input", str(train_csv)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    broken.write_text("[1, 2]", encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(broken), "--input", str(train_csv)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 def test_eval_unknown_label_exit_2(tmp_path, train_csv, capsys):
@@ -322,6 +425,20 @@ def test_gradcheck_detects_corruption(tmp_path, train_csv, capsys):
                  "--corrupt-gradient", "0.5"]) == 1
     captured = capsys.readouterr()
     assert "FAILED" in captured.err
+
+
+def test_gradcheck_passes_where_a_bias_gradient_is_zero(tmp_path, capsys):
+    # the quick-start data at seed 19: the batch norm after the residual block
+    # cancels its output bias b2, so that gradient is exactly zero and the
+    # difference quotient is rounding noise of the loss, not an error
+    ds = synth_interaction(2000, 6, PRODUCT_SIGN, 0.1, Rng(19))
+    train, _, _ = stratified_split(ds, (0.8, 0.0, 0.2), Rng(19))
+    save_csv(train, tmp_path / "train.csv")
+    cfg = write_config(tmp_path, {"dataset": str(tmp_path / "train.csv"),
+                                  "label_column": "label", "seed": 19})
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    assert main(["gradcheck", "--config", str(cfg), "--corrupt-gradient", "0.5"]) == 1
+    capsys.readouterr()
 
 
 def test_gradcheck_capacity_exit_3(tmp_path, capsys):

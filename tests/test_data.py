@@ -90,6 +90,15 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
     assert "row 3" in msg and "'b'" in msg and "oops" in msg
 
 
+def test_load_csv_non_finite_cell_names_row_and_column(tmp_path):
+    # the label sits first, so feature column 'b' is the file's third cell
+    p = write(tmp_path, "label,a,b\npos,1.0,2.0\nneg,3.5,inf\npos,nan,1.0\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(p, "label")
+    msg = str(exc.value)
+    assert "row 3" in msg and "'b'" in msg and "'inf'" in msg
+
+
 def test_load_csv_ragged_row_rejected(tmp_path):
     p = write(tmp_path, "a,b,label\n1.0,2.0,pos\n3.5,neg\n")
     with pytest.raises(ParseError):

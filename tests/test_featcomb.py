@@ -1,6 +1,7 @@
 """Combinatorial feature combination: combiners, gradients, transforms."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_spec_defaults_and_roundtrip():
     assert spec.approach == MULTIPLICATIVE
     assert not spec.augment_original
     assert not spec.append_global_interaction
-    assert CombinationSpec.from_dict(spec.to_dict()) == spec
+    assert CombinationSpec(**asdict(spec)) == spec
 
 
 def test_spec_validate_errors():

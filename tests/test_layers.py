@@ -14,17 +14,10 @@ from twistnet.layers import (
     Dropout,
     ReLULayer,
     ResidualBlock,
-    batchnorm_backward,
-    batchnorm_forward,
-    conv1d_forward,
-    dense_forward,
-    dropout_forward,
     he_init,
     layer_from_entry,
     relu,
     relu_backward,
-    residual_backward,
-    residual_forward,
     softmax_cross_entropy,
 )
 from twistnet.ndcore import Rng
@@ -359,7 +352,7 @@ def test_residual_entry_roundtrip():
     block = ResidualBlock.init(2, Rng(5))
     clone = ResidualBlock.from_entry(block.to_entry())
     x = np.asarray(np.random.default_rng(2).normal(size=(3, 2)))
-    assert np.array_equal(residual_forward(x, clone), residual_forward(x, block))
+    assert np.array_equal(clone.forward(x)[0], block.forward(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +422,7 @@ def test_conv1d_entry_roundtrip():
     clone = Conv1D.from_entry(conv.to_entry())
     assert clone.stride == 2
     x = np.asarray(np.random.default_rng(3).normal(size=(2, 7)))
-    assert np.array_equal(conv1d_forward(x, clone), conv1d_forward(x, conv))
+    assert np.array_equal(clone.forward(x)[0], conv.forward(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +495,29 @@ def test_layer_from_entry_rebuilds_dense():
     clone = layer_from_entry(layer.to_entry())
     assert isinstance(clone, Dense)
     x = np.array([[3.0, 4.0]])
-    assert np.array_equal(dense_forward(x, clone), dense_forward(x, layer))
+    assert np.array_equal(clone.forward(x)[0], layer.forward(x)[0])
 
 
 def test_functional_wrappers_agree_with_methods():
+    # the layer methods are the whole API: inference forward passes and
+    # backward passes are pure functions of their inputs and cache
     r = np.random.default_rng(15)
     x = np.asarray(r.normal(size=(4, 3)))
+    up = r.normal(size=(4, 3))
 
     bn = BatchNorm(3)
-    assert np.array_equal(batchnorm_forward(x, bn, INFER), bn.forward(x, INFER)[0])
-    y, cache = bn.forward(x, TRAIN)
-    up = r.normal(size=(4, 3))
-    gx, gg, gb = batchnorm_backward(bn, cache, up)
+    assert np.array_equal(bn.forward(x, INFER)[0], bn.forward(x, INFER)[0])
+    _, cache = bn.forward(x, TRAIN)
+    gx, (gg, gb) = bn.backward(cache, up)
     gx2, (gg2, gb2) = bn.backward(cache, up)
     assert np.array_equal(gx, gx2) and np.array_equal(gg, gg2) and np.array_equal(gb, gb2)
 
-    assert np.array_equal(dropout_forward(x, Dropout(0.5), INFER), x)
+    assert np.array_equal(Dropout(0.5).forward(x, INFER)[0], x)
 
     block = ResidualBlock.init(3, Rng(2))
     y, cache = block.forward(x)
-    assert np.array_equal(residual_forward(x, block), y)
-    gx, grads = residual_backward(block, cache, up)
+    assert np.array_equal(block.forward(x)[0], y)
+    gx, grads = block.backward(cache, up)
     gx2, grads2 = block.backward(cache, up)
     assert np.array_equal(gx, gx2)
     assert all(np.array_equal(a, b) for a, b in zip(grads, grads2))

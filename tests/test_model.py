@@ -294,7 +294,7 @@ def make_checkpoint(tmp_path):
     model = toy_model(input_dim=6, n_classes=2, seed=7, dropout=0.5)
     ckpt = Checkpoint(
         model=model,
-        config=ModelConfig(hidden1=4, hidden2=3, seed=7, combination=comb),
+        config=ModelConfig(hidden1=4, hidden2=3, seed=7),
         combination=comb,
         subsets=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
         norm_mean=np.array([0.5, -0.5, 0.0, 1.0]),

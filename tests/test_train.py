@@ -1,5 +1,7 @@
 """Adam, L2, the training loop, metrics, and the gradient-check harness."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from twistnet.train import (
     adam_step,
     evaluate,
     find_check_batch,
-    grad_check,
     grad_check_report,
     kink_distance,
     l2_penalty,
@@ -64,7 +65,7 @@ def test_train_config_validation():
 
 def test_train_config_to_dict_round_trip():
     cfg = TrainConfig(learning_rate=0.01, seed=5)
-    d = cfg.to_dict()
+    d = asdict(cfg)
     assert d["learning_rate"] == 0.01 and d["seed"] == 5
     assert TrainConfig(**d) == cfg
 
@@ -230,7 +231,7 @@ def test_train_loop_deterministic():
     for _ in range(2):
         model = build_baseline(KIND_LOGISTIC, 1, 2, ModelConfig(seed=2))
         model, history = train_loop(model, ds, TrainConfig(max_epochs=8, seed=2))
-        runs.append((history.to_list(), [pb.array.copy() for pb in model.param_blocks()]))
+        runs.append((history.epochs, [pb.array.copy() for pb in model.param_blocks()]))
     assert runs[0][0] == runs[1][0]
     for a, b in zip(runs[0][1], runs[1][1]):
         assert np.array_equal(a, b)
@@ -312,7 +313,8 @@ def test_grad_check_logistic_toy_tight():
     model = build_baseline(KIND_LOGISTIC, 4, 3, ModelConfig(seed=8))
     batch = np.asarray(r.normal(size=(8, 4)))
     labels = np.asarray(r.integers(0, 3, size=8))
-    assert grad_check(model, batch, labels) < 1e-6
+    overall, _ = grad_check_report(model, batch, labels, h=1e-5)
+    assert overall < 1e-6
 
 
 def test_grad_check_full_stack():
@@ -350,9 +352,9 @@ def test_grad_check_step_validation():
     batch = np.ones((2, 2))
     labels = np.array([0, 1])
     with pytest.raises(ValueError):
-        grad_check(model, batch, labels, h=0.0)
+        grad_check_report(model, batch, labels, h=0.0)
     with pytest.raises(ValueError):
-        grad_check(model, batch, labels, h=-1e-5)
+        grad_check_report(model, batch, labels, h=-1e-5)
     with pytest.raises(ValueError):
         grad_check_report(model, batch, labels, h=(1e-5, 0.0))
     with pytest.raises(ValueError):
@@ -363,7 +365,7 @@ def test_grad_check_capacity_limit():
     model = build_baseline(KIND_LOGISTIC, 2600, 2, ModelConfig())
     assert model.parameter_count() > GRAD_CHECK_MAX_PARAMS
     with pytest.raises(CapacityError):
-        grad_check(model, np.ones((2, 2600)), np.array([0, 1]))
+        grad_check_report(model, np.ones((2, 2600)), np.array([0, 1]))
 
 
 def test_kink_distance_reads_preactivations():
