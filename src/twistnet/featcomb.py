@@ -58,22 +58,12 @@ class CombinationSpec:
                     f"exceeds cap {self.max_combined}"
                 )
 
-    def output_dim(self, n_features: int) -> int:
-        self.validate(n_features)
-        n = math.comb(n_features, self.m)
-        if self.augment_original:
-            n += n_features
-        if self.append_global_interaction:
-            n += 1
-        return n
-
 
 @dataclass
 class CombinedFeatures:
     """Row-wise combined feature block plus the subsets that produced it."""
 
     values: np.ndarray
-    spec: CombinationSpec
     subsets: list[tuple[int, ...]] = field(default_factory=list)
 
 
@@ -183,7 +173,7 @@ def transform_dataset(X, spec: CombinationSpec) -> CombinedFeatures:
     if spec.append_global_interaction:
         blocks.append(_global_pair_sum_rows(X).reshape(-1, 1))
     values = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-    return CombinedFeatures(values=values, spec=spec, subsets=subsets)
+    return CombinedFeatures(values=values, subsets=subsets)
 
 
 def combined_feature_names(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import SchemaError, ShapeError
 from .ndcore import Rng
 
 TRAIN = "train"
@@ -66,10 +66,65 @@ def softmax_cross_entropy(logits, labels):
     return loss, grad / b
 
 
-class Dense:
+class Layer:
+    """Base of every layer. A subclass declares what it stores: ``arrays``,
+    the float arrays a checkpoint holds, in constructor order; ``params``,
+    the trainable ones, each mapped to whether L2 applies; ``settings``, the
+    scalars the constructor takes after the arrays, each mapped to its type.
+    A checkpoint entry is ``type``, the settings, and ``shape``/``values``."""
+
+    kind = ""
+    arrays: tuple[str, ...] = ()
+    params: dict[str, bool] = {}
+    settings: dict[str, type] = {}
+
+    def param_blocks(self):
+        return [ParamBlock(name, getattr(self, name), l2) for name, l2 in self.params.items()]
+
+    def to_entry(self):
+        stored = [getattr(self, name) for name in self.arrays]
+        return {
+            "type": self.kind,
+            **{name: getattr(self, name) for name in self.settings},
+            "shape": [list(a.shape) for a in stored],
+            "values": [a.tolist() for a in stored],
+        }
+
+    @classmethod
+    def from_entry(cls, entry):
+        """Rebuild a layer; SchemaError if the entry does not match the declaration."""
+        where = f"{cls.kind} layer entry"
+        missing = [key for key in ("shape", "values", *cls.settings) if key not in entry]
+        if missing:
+            raise SchemaError(f"{where} is missing keys {missing}")
+        shapes, values = entry["shape"], entry["values"]
+        if not (isinstance(shapes, list) and isinstance(values, list)
+                and len(shapes) == len(values) == len(cls.arrays)):
+            raise SchemaError(f"{where} must record {len(cls.arrays)} arrays "
+                              f"{list(cls.arrays)} in 'shape' and 'values'")
+        stored = []
+        for name, shape, value in zip(cls.arrays, shapes, values):
+            try:
+                array = np.array(value)
+            except ValueError:  # ragged nesting
+                array = np.array(None)
+            if array.dtype.kind not in "iuf" or list(array.shape) != shape:
+                raise SchemaError(f"{where}: {name!r} is not a numeric array of shape {shape}")
+            stored.append(array)
+        for name, kind in cls.settings.items():
+            accepted = (int, float) if kind is float else kind
+            if isinstance(entry[name], bool) or not isinstance(entry[name], accepted):
+                raise SchemaError(f"{where}: {name!r} must be {kind.__name__}")
+        return cls(*stored, *(entry[name] for name in cls.settings))
+
+
+class Dense(Layer):
     """Affine map y = f(x W^T + b) with f in {relu, identity}."""
 
     kind = "dense"
+    arrays = ("weights", "bias")
+    params = {"weights": True, "bias": False}
+    settings = {"activation": str}
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "relu"):
         if activation not in ("relu", "identity"):
@@ -90,10 +145,6 @@ class Dense:
     def input_dim(self):
         return self.weights.shape[1]
 
-    @property
-    def output_dim(self):
-        return self.weights.shape[0]
-
     def forward(self, x, mode=INFER, rng=None):
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"dense expects {self.input_dim} columns, got {x.shape[1]}")
@@ -109,25 +160,8 @@ class Dense:
         grad_x = dz @ self.weights
         return grad_x, [grad_w, grad_b]
 
-    def param_blocks(self):
-        return [ParamBlock("weights", self.weights, True), ParamBlock("bias", self.bias, False)]
 
-    def to_entry(self):
-        return {
-            "type": self.kind,
-            "activation": self.activation,
-            "shape": [list(self.weights.shape), list(self.bias.shape)],
-            "values": [self.weights.tolist(), self.bias.tolist()],
-        }
-
-    @classmethod
-    def from_entry(cls, e):
-        return cls(np.array(e["values"][0], dtype=np.float64),
-                   np.array(e["values"][1], dtype=np.float64),
-                   e["activation"])
-
-
-class ReLULayer:
+class ReLULayer(Layer):
     """Standalone rectifier for graph positions where it is its own stage."""
 
     kind = "relu"
@@ -138,18 +172,8 @@ class ReLULayer:
     def backward(self, cache, upstream):
         return relu_backward(cache, upstream), []
 
-    def param_blocks(self):
-        return []
 
-    def to_entry(self):
-        return {"type": self.kind, "shape": [], "values": []}
-
-    @classmethod
-    def from_entry(cls, e):
-        return cls()
-
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-column normalization with learned scale and shift.
 
     Training batches are normalized by their own mean and biased variance,
@@ -159,14 +183,22 @@ class BatchNorm:
     """
 
     kind = "batchnorm"
+    arrays = ("gamma", "beta", "running_mean", "running_var")
+    params = {"gamma": False, "beta": False}
+    settings = {"momentum": float, "epsilon": float}
 
-    def __init__(self, dim: int, momentum: float = 0.9, epsilon: float = 1e-5):
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.epsilon = epsilon
+    def __init__(self, gamma, beta, running_mean, running_var,
+                 momentum: float = 0.9, epsilon: float = 1e-5):
+        stats = [np.asarray(a, dtype=np.float64) for a in (gamma, beta, running_mean, running_var)]
+        if any(a.ndim != 1 or a.shape != stats[0].shape for a in stats):
+            raise ShapeError(f"batchnorm needs 4 equal-length vectors, got "
+                             f"{[a.shape for a in stats]}")
+        self.gamma, self.beta, self.running_mean, self.running_var = stats
+        self.momentum, self.epsilon = momentum, epsilon
+
+    @classmethod
+    def init(cls, dim: int, momentum: float = 0.9, epsilon: float = 1e-5) -> "BatchNorm":
+        return cls(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim), momentum, epsilon)
 
     @property
     def dim(self):
@@ -211,37 +243,12 @@ class BatchNorm:
             )
         return grad_x, [grad_gamma, grad_beta]
 
-    def param_blocks(self):
-        return [ParamBlock("gamma", self.gamma, False), ParamBlock("beta", self.beta, False)]
 
-    def to_entry(self):
-        return {
-            "type": self.kind,
-            "momentum": self.momentum,
-            "epsilon": self.epsilon,
-            "shape": [[self.dim]] * 4,
-            "values": [
-                self.gamma.tolist(),
-                self.beta.tolist(),
-                self.running_mean.tolist(),
-                self.running_var.tolist(),
-            ],
-        }
-
-    @classmethod
-    def from_entry(cls, e):
-        layer = cls(len(e["values"][0]), e["momentum"], e["epsilon"])
-        layer.gamma = np.array(e["values"][0], dtype=np.float64)
-        layer.beta = np.array(e["values"][1], dtype=np.float64)
-        layer.running_mean = np.array(e["values"][2], dtype=np.float64)
-        layer.running_var = np.array(e["values"][3], dtype=np.float64)
-        return layer
-
-
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: train-time masking scaled by 1/(1-rate), inference is identity."""
 
     kind = "dropout"
+    settings = {"rate": float}
 
     def __init__(self, rate: float = 0.5):
         if not 0.0 <= rate < 1.0:
@@ -263,22 +270,14 @@ class Dropout:
         keep, scale = cache
         return upstream * keep * scale, []
 
-    def param_blocks(self):
-        return []
 
-    def to_entry(self):
-        return {"type": self.kind, "rate": self.rate, "shape": [], "values": []}
-
-    @classmethod
-    def from_entry(cls, e):
-        return cls(e["rate"])
-
-
-class ResidualBlock:
+class ResidualBlock(Layer):
     """Two square dense maps with a rectifier each, plus the identity skip:
     y = f(W2 f(W1 x + b1) + b2) + x. Dimension is preserved by construction."""
 
     kind = "residual"
+    arrays = ("w1", "b1", "w2", "b2")
+    params = {"w1": True, "b1": False, "w2": True, "b2": False}
 
     def __init__(self, w1, b1, w2, b2):
         w1 = np.asarray(w1, dtype=np.float64)
@@ -322,28 +321,8 @@ class ResidualBlock:
         grad_x = dz1 @ self.w1 + upstream  # skip path passes upstream through untouched
         return grad_x, [grad_w1, grad_b1, grad_w2, grad_b2]
 
-    def param_blocks(self):
-        return [
-            ParamBlock("w1", self.w1, True),
-            ParamBlock("b1", self.b1, False),
-            ParamBlock("w2", self.w2, True),
-            ParamBlock("b2", self.b2, False),
-        ]
 
-    def to_entry(self):
-        return {
-            "type": self.kind,
-            "shape": [list(self.w1.shape), [self.dim], list(self.w2.shape), [self.dim]],
-            "values": [self.w1.tolist(), self.b1.tolist(), self.w2.tolist(), self.b2.tolist()],
-        }
-
-    @classmethod
-    def from_entry(cls, e):
-        v = e["values"]
-        return cls(np.array(v[0]), np.array(v[1]), np.array(v[2]), np.array(v[3]))
-
-
-class Conv1D:
+class Conv1D(Layer):
     """Valid (no padding) cross-correlation over the feature axis.
 
     Each row is treated as a length-n signal; outputs of the K kernels are
@@ -352,6 +331,9 @@ class Conv1D:
     """
 
     kind = "conv1d"
+    arrays = ("kernels", "bias")
+    params = {"kernels": True, "bias": False}
+    settings = {"stride": int}
 
     def __init__(self, kernels, bias, stride: int = 1):
         kernels = np.asarray(kernels, dtype=np.float64)
@@ -403,21 +385,6 @@ class Conv1D:
             np.add.at(grad_x, (slice(None), idx), dcol[:, :, s])
         return grad_x, [grad_kern, grad_bias]
 
-    def param_blocks(self):
-        return [ParamBlock("kernels", self.kernels, True), ParamBlock("bias", self.bias, False)]
-
-    def to_entry(self):
-        return {
-            "type": self.kind,
-            "stride": self.stride,
-            "shape": [list(self.kernels.shape), list(self.bias.shape)],
-            "values": [self.kernels.tolist(), self.bias.tolist()],
-        }
-
-    @classmethod
-    def from_entry(cls, e):
-        return cls(np.array(e["values"][0]), np.array(e["values"][1]), e["stride"])
-
 
 LAYER_TYPES = {
     cls.kind: cls for cls in (Dense, ReLULayer, BatchNorm, Dropout, ResidualBlock, Conv1D)
@@ -425,9 +392,9 @@ LAYER_TYPES = {
 
 
 def layer_from_entry(entry: dict):
-    try:
-        cls = LAYER_TYPES[entry["type"]]
-    except KeyError:
-        raise ValueError(f"unknown layer type {entry.get('type')!r}") from None
+    kind = entry.get("type")
+    cls = LAYER_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"unknown layer type {kind!r}")
     return cls.from_entry(entry)
 

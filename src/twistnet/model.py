@@ -10,7 +10,7 @@ the class count, finished by softmax cross-entropy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,7 @@ def build_tcn(input_dim_after_combination: int, n_classes: int,
     for _ in range(cfg.n_residual_blocks):
         stack.append(L.ResidualBlock.init(cfg.hidden1, rng))
     if cfg.use_batchnorm:
-        stack.append(L.BatchNorm(cfg.hidden1))
+        stack.append(L.BatchNorm.init(cfg.hidden1))
     stack.append(L.ReLULayer())
     stack.append(L.Dropout(cfg.dropout_rate))
     stack.append(L.Dense.init(cfg.hidden1, cfg.hidden2, rng, "relu"))
@@ -105,13 +105,8 @@ def build_baseline(kind: str, input_dim: int, n_classes: int,
     if kind == KIND_LOGISTIC:
         stack = [L.Dense.init(input_dim, n_classes, rng, "identity")]
     elif kind == KIND_MLP:
-        stack = [L.Dense.init(input_dim, cfg.hidden1, rng, "relu")]
-        if cfg.use_batchnorm:
-            stack.append(L.BatchNorm(cfg.hidden1))
-        stack.append(L.ReLULayer())
-        stack.append(L.Dropout(cfg.dropout_rate))
-        stack.append(L.Dense.init(cfg.hidden1, cfg.hidden2, rng, "relu"))
-        stack.append(L.Dense.init(cfg.hidden2, n_classes, rng, "identity"))
+        tcn = build_tcn(input_dim, n_classes, replace(cfg, n_residual_blocks=0), rng)
+        return replace(tcn, kind=KIND_MLP)
     elif kind == KIND_CNN1D:
         width = 3
         if input_dim < width:
@@ -220,6 +215,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _from_section(doc: dict, key: str, cls):
+    """``cls`` built from the checkpoint object under ``key``."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise SchemaError(f"checkpoint '{key}' must be an object")
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SchemaError(f"checkpoint '{key}' has unknown keys {unknown}")
+    return cls(**section)
+
+
 def load_checkpoint(path) -> Checkpoint:
     try:
         doc = json.loads(Path(path).read_text())
@@ -230,10 +236,14 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [key for key in CHECKPOINT_FORMAT_KEYS if key not in doc]
     if missing:
         raise SchemaError(f"checkpoint {path} is missing keys {missing}")
-    stack = [L.layer_from_entry(e) for e in doc["layers"]]
+    entries = doc["layers"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
+    stack = [L.layer_from_entry(e) for e in entries]
     model = ModelGraph(doc["kind"], doc["input_dim"], doc["n_classes"], stack)
-    cfg = ModelConfig(**doc["config"])
-    comb = CombinationSpec(**doc["combination"]) if doc["combination"] else None
+    cfg = _from_section(doc, "config", ModelConfig)
+    comb = (_from_section(doc, "combination", CombinationSpec)
+            if doc["combination"] is not None else None)
     subsets = [tuple(s) for s in doc["subsets"]] if doc["subsets"] is not None else None
     stats = doc["normalization_stats"]
     mean = np.array(stats["mean"], dtype=np.float64) if stats else None

@@ -3,6 +3,7 @@ early stopping, metrics, and an exhaustive finite-difference gradient check."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +196,9 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
         else:
             record = EpochRecord(epoch, train_loss, None, None)
             improved = True  # no validation signal: latest parameters are "best"
+        if not np.isfinite(train_loss) or not np.isfinite(record.val_loss or 0.0):
+            raise ValueError(f"training diverged at epoch {epoch}: the loss is not finite "
+                             f"(learning_rate {cfg.learning_rate:g})")
         history.epochs.append(record)
 
         if improved:
@@ -219,34 +223,23 @@ def _loss_only(model: M.ModelGraph, batch, labels) -> float:
     return M.loss_from_cache(cache, labels)
 
 
-class _FrozenStochastic:
-    """Temporarily zero dropout rates and pin batch-norm running stats, so
-    repeated forward passes over one batch are a deterministic function of
-    the parameters."""
-
-    def __init__(self, model: M.ModelGraph):
-        self.model = model
-        self.rates: list = []
-        self.stats: list = []
-
-    def __enter__(self):
-        for layer in self.model.layers:
-            if layer.kind == "dropout":
-                self.rates.append((layer, layer.rate))
-                layer.rate = 0.0
-            elif layer.kind == "batchnorm":
-                self.stats.append(
-                    (layer, layer.running_mean.copy(), layer.running_var.copy())
-                )
-        return self
-
-    def __exit__(self, *exc):
-        for layer, rate in self.rates:
+@contextmanager
+def _frozen_stochastic(model: M.ModelGraph):
+    """Temporarily zero dropout rates and pin every stored array that is not
+    a parameter (batch-norm running stats), so repeated forward passes over
+    one batch are a deterministic function of the parameters."""
+    rates = [(layer, layer.rate) for layer in model.layers if layer.kind == "dropout"]
+    stored = [(getattr(layer, name), getattr(layer, name).copy())
+              for layer in model.layers for name in layer.arrays if name not in layer.params]
+    for layer, _ in rates:
+        layer.rate = 0.0
+    try:
+        yield
+    finally:
+        for layer, rate in rates:
             layer.rate = rate
-        for layer, mean, var in self.stats:
-            layer.running_mean[...] = mean
-            layer.running_var[...] = var
-        return False
+        for array, saved in stored:
+            array[...] = saved
 
 
 def kink_distance(model: M.ModelGraph, cache) -> float:
@@ -277,7 +270,7 @@ def find_check_batch(model: M.ModelGraph, features, labels, size: int = 8,
     all clear ``margin``, giving a differentiable point for grad_check."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    with _FrozenStochastic(model):
+    with _frozen_stochastic(model):
         for start in range(0, features.shape[0], size):
             batch = features[start : start + size]
             if batch.shape[0] < 2:
@@ -322,7 +315,7 @@ def grad_check_report(model: M.ModelGraph, batch, labels,
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels)
 
-    with _FrozenStochastic(model):
+    with _frozen_stochastic(model):
         _, cache = M.forward(model, batch, L.TRAIN)
         analytic = M.backward(model, cache, labels)
         if corruption != 0.0 and analytic:

@@ -109,7 +109,7 @@ def layer_suite(seed):
     gx, _ = layer.backward(cache, c)
     errs["relu"] = rel_err(gx, fd_wrt(x, _sum_objective(layer, x, c)))
 
-    bn = BatchNorm(4)
+    bn = BatchNorm.init(4)
     bn.gamma = r.normal(size=4) + 2.0
     bn.beta = r.normal(size=4)
     x = np.asarray(r.normal(size=(6, 4)))

@@ -40,6 +40,9 @@ RUN_VARIANTS = {
     "raw": {"combination": None},
     "pairwise_m3": {"combination": {"m": 3, "approach": "pairwise", "augment_original": True,
                                     "append_global_interaction": True}},
+    "mlp": {"kind": "mlp"},
+    "cnn1d": {"kind": "cnn1d"},
+    "logistic": {"kind": "logistic"},
 }
 
 
@@ -297,6 +300,21 @@ PINNED_SHA256 = {
         "d56d626e3c0d7b7c9ea7e54efb40a1151d6e3a8f29402af74efa57f4acd03375",
         "45d34f5387e80716075b30d3d5e939ea359f5dbef5a395853ec8c79ead73d8fe",
     ),
+    "mlp": (
+        "6ca65ce2b5a53557f72c8d9f5b1efa788c7b248d1ef20c230b8653d8f335464f",
+        "e6202d9c04ba83bc9394eba92366c54e5fb688b17c1dada2697aab361a10cafe",
+        "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
+    ),
+    "cnn1d": (
+        "c262afa62771e67641ce0d3e46d127e73c33ff62571a19fd1f1b0663a2a3db03",
+        "f55a2456657f04a80416bcfa2fd37e84597efd153c2165da9383b8b21acc32f9",
+        "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
+    ),
+    "logistic": (
+        "831450a42ddc46998601134764195e74a7d462e1b0cddebb80466f4d19f15253",
+        "10def8563efc19143fc958637d40826832a5b151ac875ecd86eb631d49bc6fad",
+        "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
+    ),
 }
 
 
@@ -390,6 +408,46 @@ def test_eval_checkpoint_not_json_exit_2(tmp_path, train_csv, capsys):
     broken.write_text("[1, 2]", encoding="utf-8")
     assert main(["eval", "--checkpoint", str(broken), "--input", str(train_csv)]) == 2
     assert "not a JSON object" in capsys.readouterr().err
+
+
+# edits of a trained tcn checkpoint (layers: dense, residual, batchnorm, relu,
+# dropout, dense, dense), each with a word its error message must name
+MALFORMED_CHECKPOINTS = {
+    "layer_without_values": (lambda d: d["layers"][0].pop("values"), "'values'"),
+    "config_unknown_key": (lambda d: d["config"].update(hiden1=20), "hiden1"),
+    "combination_unknown_key": (lambda d: d["combination"].update(mm=2), "mm"),
+    "unknown_layer_type": (lambda d: d["layers"][3].update(type="pooling"), "pooling"),
+    "dropout_without_rate": (lambda d: d["layers"][4].pop("rate"), "'rate'"),
+    "batchnorm_three_arrays": (lambda d: (d["layers"][2]["values"].pop(),
+                                          d["layers"][2]["shape"].pop()), "4 arrays"),
+    "dense_bias_short": (lambda d: d["layers"][0]["values"][1].pop(), "'bias'"),
+    "layers_not_a_list": (lambda d: d.update(layers=5), "'layers'"),
+    "ragged_weight_row": (lambda d: d["layers"][0]["values"][0][0].pop(), "'weights'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_eval_malformed_checkpoint_exit_2(tmp_path, train_csv, capsys, case):
+    ckpt, _ = trained(tmp_path, train_csv)
+    doc = json.loads(ckpt.read_text())
+    edit, named = MALFORMED_CHECKPOINTS[case]
+    edit(doc)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(broken), "--input", str(train_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err
+
+
+def test_train_diverged_run_exits_1(tmp_path, train_csv, capsys):
+    code, outdir = run_train(tmp_path, train_csv, "diverged",
+                             extra={"train": {"max_epochs": 12, "learning_rate": 1e300}})
+    assert code == 1
+    assert not (outdir / "results.json").exists()
+    assert not (outdir / "checkpoint.json").exists()
+    err = capsys.readouterr().err
+    assert "epoch 1:" in err and "1e+300" in err
 
 
 def test_eval_unknown_label_exit_2(tmp_path, train_csv, capsys):

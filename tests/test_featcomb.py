@@ -244,10 +244,15 @@ def test_spec_validate_errors():
 
 
 def test_output_dim_accounting():
-    assert CombinationSpec(m=2).output_dim(5) == 10
-    assert CombinationSpec(m=2, augment_original=True).output_dim(5) == 15
-    spec = CombinationSpec(m=2, augment_original=True, append_global_interaction=True)
-    assert spec.output_dim(5) == 16
+    X = np.arange(15.0).reshape(3, 5)
+
+    def width(spec):
+        return transform_dataset(X, spec).values.shape[1]
+
+    assert width(CombinationSpec(m=2)) == 10
+    assert width(CombinationSpec(m=2, augment_original=True)) == 15
+    assert width(CombinationSpec(m=2, augment_original=True,
+                                 append_global_interaction=True)) == 16
 
 
 def test_transform_shapes():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twistnet.errors import ShapeError
+from twistnet.errors import SchemaError, ShapeError
 from twistnet.layers import (
     INFER,
     LAYER_TYPES,
@@ -135,13 +135,13 @@ def test_relu_layer_forward_backward():
 # ---------------------------------------------------------------------------
 
 def test_batchnorm_two_point_column():
-    bn = BatchNorm(1)
+    bn = BatchNorm.init(1)
     y, _ = bn.forward(np.array([[1.0], [3.0]]), TRAIN)
     assert np.allclose(y, [[-1.0], [1.0]], atol=1e-4)
 
 
 def test_batchnorm_constant_column_maps_to_beta():
-    bn = BatchNorm(1)
+    bn = BatchNorm.init(1)
     y, _ = bn.forward(np.array([[5.0], [5.0], [5.0]]), TRAIN)
     assert np.allclose(y, 0.0, atol=1e-12)
 
@@ -149,7 +149,7 @@ def test_batchnorm_constant_column_maps_to_beta():
 def test_batchnorm_output_statistics():
     # columns scaled well above epsilon so normalization is essentially exact
     x = np.asarray(np.random.default_rng(2).normal(size=(64, 5))) * 10.0
-    bn = BatchNorm(5)
+    bn = BatchNorm.init(5)
     y, _ = bn.forward(x, TRAIN)
     assert np.max(np.abs(y.mean(axis=0))) < 1e-12
     assert np.max(np.abs(y.var(axis=0) - 1.0)) < 1e-6
@@ -157,19 +157,19 @@ def test_batchnorm_output_statistics():
 
 def test_batchnorm_train_needs_two_rows():
     with pytest.raises(ValueError):
-        BatchNorm(2).forward(np.ones((1, 2)), TRAIN)
+        BatchNorm.init(2).forward(np.ones((1, 2)), TRAIN)
 
 
 def test_batchnorm_running_stat_update():
     x = np.array([[1.0, 10.0], [3.0, 30.0]])
-    bn = BatchNorm(2, momentum=0.9)
+    bn = BatchNorm.init(2, momentum=0.9)
     bn.forward(x, TRAIN)
     assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
     assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0), atol=1e-12)
 
 
 def test_batchnorm_infer_uses_running_stats():
-    bn = BatchNorm(2)
+    bn = BatchNorm.init(2)
     bn.running_mean = np.array([1.0, 2.0])
     bn.running_var = np.array([4.0, 9.0])
     y, _ = bn.forward(np.array([[3.0, 8.0]]), INFER)
@@ -178,14 +178,14 @@ def test_batchnorm_infer_uses_running_stats():
 
 def test_batchnorm_infer_ignores_batch_size_one():
     # single rows are fine outside training
-    bn = BatchNorm(3)
+    bn = BatchNorm.init(3)
     y, _ = bn.forward(np.ones((1, 3)), INFER)
     assert y.shape == (1, 3)
 
 
 def test_batchnorm_scale_shift_gradients():
     r = np.random.default_rng(4)
-    bn = BatchNorm(3)
+    bn = BatchNorm.init(3)
     x = np.asarray(r.normal(size=(8, 3)))
     up = r.normal(size=(8, 3))
     y, cache = bn.forward(x, TRAIN)
@@ -199,7 +199,7 @@ def test_batchnorm_batch_grad_columns_sum_to_zero():
     # the batch path is invariant to a constant shift of any column, so the
     # input gradient must have zero column sums
     r = np.random.default_rng(5)
-    bn = BatchNorm(4)
+    bn = BatchNorm.init(4)
     x = np.asarray(r.normal(size=(10, 4)))
     y, cache = bn.forward(x, TRAIN)
     grad_x, _ = bn.backward(cache, r.normal(size=(10, 4)))
@@ -208,7 +208,7 @@ def test_batchnorm_batch_grad_columns_sum_to_zero():
 
 def test_batchnorm_gradients_match_finite_differences():
     r = np.random.default_rng(6)
-    bn = BatchNorm(3)
+    bn = BatchNorm.init(3)
     bn.gamma = r.normal(size=3) + 2.0
     bn.beta = r.normal(size=3)
     x = np.asarray(r.normal(size=(6, 3)))
@@ -234,7 +234,7 @@ def test_batchnorm_gradients_match_finite_differences():
 
 
 def test_batchnorm_entry_roundtrip():
-    bn = BatchNorm(2, momentum=0.8, epsilon=1e-4)
+    bn = BatchNorm.init(2, momentum=0.8, epsilon=1e-4)
     bn.forward(np.array([[1.0, 2.0], [3.0, 4.0]]), TRAIN)
     clone = BatchNorm.from_entry(bn.to_entry())
     assert clone.momentum == 0.8 and clone.epsilon == 1e-4
@@ -498,6 +498,28 @@ def test_layer_from_entry_rebuilds_dense():
     assert np.array_equal(clone.forward(x)[0], layer.forward(x)[0])
 
 
+def test_from_entry_checks_settings_and_cells():
+    rate = Dropout(0.25).to_entry()
+    assert Dropout.from_entry({**rate, "rate": 0}).rate == 0  # an int is a float setting
+    for bad in ("half", True, None):
+        with pytest.raises(SchemaError, match="'rate' must be float"):
+            Dropout.from_entry({**rate, "rate": bad})
+    conv = Conv1D.init(2, 3, Rng(0)).to_entry()
+    with pytest.raises(SchemaError, match="'stride' must be int"):
+        Conv1D.from_entry({**conv, "stride": 1.5})
+    dense = Dense.init(2, 1, Rng(0)).to_entry()
+    dense["values"][0][0][1] = "0.5"
+    with pytest.raises(SchemaError, match="'weights' is not a numeric array"):
+        Dense.from_entry(dense)
+
+
+def test_batchnorm_arrays_must_be_equal_length_vectors():
+    with pytest.raises(ShapeError):
+        BatchNorm(np.ones(3), np.zeros(3), np.zeros(4), np.ones(3))
+    with pytest.raises(ShapeError):
+        BatchNorm(np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
+
+
 def test_functional_wrappers_agree_with_methods():
     # the layer methods are the whole API: inference forward passes and
     # backward passes are pure functions of their inputs and cache
@@ -505,7 +527,7 @@ def test_functional_wrappers_agree_with_methods():
     x = np.asarray(r.normal(size=(4, 3)))
     up = r.normal(size=(4, 3))
 
-    bn = BatchNorm(3)
+    bn = BatchNorm.init(3)
     assert np.array_equal(bn.forward(x, INFER)[0], bn.forward(x, INFER)[0])
     _, cache = bn.forward(x, TRAIN)
     gx, (gg, gb) = bn.backward(cache, up)

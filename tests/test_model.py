@@ -61,7 +61,7 @@ def test_default_stack_layer_order():
     kinds = [layer.kind for layer in model.layers]
     assert kinds == ["dense", "residual", "batchnorm", "relu", "dropout", "dense", "dense"]
     assert model.layers[-1].activation == "identity"
-    assert model.layers[-1].output_dim == 3
+    assert model.layers[-1].weights.shape[0] == 3
 
 
 def test_zero_residual_blocks_is_plain_feedforward():
