@@ -14,12 +14,11 @@ All diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .errors import (
     ConfigError,
     DataError,
     ShapeError,
+    check_keys,
+    schema_of,
 )
 from .featcomb import (
     MULTIPLICATIVE,
@@ -72,10 +73,9 @@ _TOP_FIELDS = {
     "kind": str,
     "seed": int,
     "model": dict,
-    "combination": dict,
+    "combination": (dict, type(None)),
     "train": dict,
 }
-_REQUIRED_TOP = ("dataset", "label_column")
 
 
 @dataclass
@@ -100,70 +100,24 @@ def normalize_approach(token: str) -> str:
     return _APPROACH_TOKENS[token]
 
 
-def _schema(cls) -> dict:
-    """Config key -> type, read off the dataclass defaults; the seed is set
-    once at the top level, so the sections do not accept it."""
-    return {f.name: type(f.default) for f in fields(cls) if f.name != "seed"}
-
-
-def _type_ok(value, expected) -> bool:
-    # bool is checked before int: isinstance(True, int) holds in Python
-    if expected is bool or expected == (bool,):
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
-
-
-def _check_section(section: str, doc: dict, fields: dict, problems: list[str]) -> dict:
-    """Strict key/type screening; returns only the clean entries."""
-    where = f" in '{section}'" if section else ""
-    clean = {}
-    for key, value in doc.items():
-        if key not in fields:
-            hint = difflib.get_close_matches(key, sorted(fields), n=1, cutoff=0.6)
-            suggest = f" (did you mean '{hint[0]}'?)" if hint else ""
-            problems.append(f"unknown key '{key}'{where}{suggest}")
-            continue
-        expected = fields[key]
-        if not _type_ok(value, expected):
-            name = expected.__name__ if isinstance(expected, type) else "string or integer"
-            problems.append(
-                f"key '{key}'{where} expects {name}, got {type(value).__name__}"
-            )
-            continue
-        clean[key] = value
-    return clean
-
-
 def parse_run_config(doc) -> RunConfig:
     """Validate a run-config JSON document. Unknown keys are errors, never
     warnings, and every offending key is reported in one pass."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     problems: list[str] = []
-    top = dict(doc)
-    absent = object()
-    comb_doc = top.pop("combination", absent)
-    skip_combination = comb_doc is None
-    if comb_doc is None or comb_doc is absent:
-        comb_doc = {}
-    top = _check_section("", top, _TOP_FIELDS, problems)
-    for key in _REQUIRED_TOP:
-        if key not in top:
-            problems.append(f"missing required key '{key}'")
-    model_doc = _check_section("model", top.pop("model", {}), _schema(ModelConfig), problems)
-    train_doc = _check_section("train", top.pop("train", {}), _schema(TrainConfig), problems)
-    if not isinstance(comb_doc, dict):
-        problems.append("key 'combination' expects an object or null")
-        comb_doc = {}
-    comb_doc = _check_section("combination", comb_doc, _schema(CombinationSpec), problems)
+    top = check_keys(doc, _TOP_FIELDS, problems, required=("dataset", "label_column"))
+    # the seed is set once, at the top level, so the sections do not accept it
+    model_doc, train_doc, comb_doc = (
+        check_keys(top.get(name) or {},
+                   {k: t for k, t in schema_of(cls).items() if k != "seed"}, problems, name)
+        for name, cls in (("model", ModelConfig), ("train", TrainConfig),
+                          ("combination", CombinationSpec))
+    )
 
     kind = top.get("kind", KIND_TCN)
-    if "kind" in top and kind not in MODEL_KINDS:
-        problems.append(f"key 'kind' must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    if kind not in MODEL_KINDS:
+        problems.append(f"'kind' must be one of {list(MODEL_KINDS)}, got {kind!r}")
     if "approach" in comb_doc:
         try:
             comb_doc["approach"] = normalize_approach(comb_doc["approach"])
@@ -180,7 +134,7 @@ def parse_run_config(doc) -> RunConfig:
         kind=kind,
         seed=seed,
         model=ModelConfig(seed=seed, **model_doc),
-        combination=None if skip_combination else CombinationSpec(**comb_doc),
+        combination=None if top.get("combination", {}) is None else CombinationSpec(**comb_doc),
         train=TrainConfig(seed=seed, **train_doc),
     )
 
@@ -313,10 +267,11 @@ def cmd_eval(args) -> int:
 
     raw = Dataset(ds.features[:, order], labels, ckpt.class_names, ckpt.feature_names,
                   label_name=ckpt.label_column)
-    work, subsets = _combine(raw, ckpt.combination)
-    if ckpt.subsets is not None and subsets != ckpt.subsets:
-        raise DataError("checkpoint subsets do not match the combination spec")
+    work, _ = _combine(raw, ckpt.combination)
     if ckpt.norm_mean is not None:
+        if not len(ckpt.norm_mean) == len(ckpt.norm_std) == work.n_features:
+            raise DataError(f"checkpoint normalization stats have {len(ckpt.norm_mean)} means "
+                            f"and {len(ckpt.norm_std)} stds for {work.n_features} features")
         work = zscore_apply(work, NormStats(ckpt.norm_mean, ckpt.norm_std))
     result = evaluate(ckpt.model, work)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

@@ -39,7 +39,7 @@ class CombinationSpec:
     augment_original: bool = False
     append_global_interaction: bool = False
 
-    def validate(self, n_features: int | None = None) -> None:
+    def validate(self) -> None:
         if self.m < 1:
             raise ValueError(f"subset size m must be >= 1, got {self.m}")
         if self.approach not in APPROACHES:
@@ -48,15 +48,6 @@ class CombinationSpec:
             raise ValueError("pairwise_sum needs m >= 2: a 1-subset has no pairs")
         if self.max_combined < 1:
             raise ValueError("max_combined must be >= 1")
-        if n_features is not None:
-            if self.m > n_features:
-                raise ValueError(f"m exceeds feature count: m={self.m}, n={n_features}")
-            n_comb = math.comb(n_features, self.m)
-            if n_comb > self.max_combined:
-                raise CapacityError(
-                    f"C({n_features},{self.m}) = {n_comb} combined features "
-                    f"exceeds cap {self.max_combined}"
-                )
 
 
 @dataclass
@@ -164,9 +155,8 @@ def transform_dataset(X, spec: CombinationSpec) -> CombinedFeatures:
     """Expand a batch row-wise: combined columns, then originals, then the
     global-interaction column, honoring the flags on ``spec``."""
     X = check_finite(as_matrix(X, "features"), "features")
-    n = X.shape[1]
-    spec.validate(n)
-    subsets = enumerate_subsets(n, spec.m, spec.max_combined)
+    spec.validate()
+    subsets = enumerate_subsets(X.shape[1], spec.m, spec.max_combined)
     blocks = [_combine_rows(X, subsets, spec.approach)]
     if spec.augment_original:
         blocks.append(X)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, ShapeError
+from .errors import SchemaError, ShapeError, check_exact
 from .ndcore import Rng
 
 TRAIN = "train"
@@ -68,15 +68,29 @@ def softmax_cross_entropy(logits, labels):
 
 class Layer:
     """Base of every layer. A subclass declares what it stores: ``arrays``,
-    the float arrays a checkpoint holds, in constructor order; ``params``,
-    the trainable ones, each mapped to whether L2 applies; ``settings``, the
-    scalars the constructor takes after the arrays, each mapped to its type.
-    A checkpoint entry is ``type``, the settings, and ``shape``/``values``."""
+    the float arrays a checkpoint holds, in constructor order, each mapped to
+    its named dimensions; ``params``, the trainable ones, each mapped to
+    whether L2 applies; ``settings``, the scalars the constructor takes after
+    the arrays, each mapped to its type. A checkpoint entry is ``type``, the
+    settings, and ``shape``/``values``."""
 
     kind = ""
-    arrays: tuple[str, ...] = ()
+    arrays: dict[str, tuple[str, ...]] = {}
     params: dict[str, bool] = {}
     settings: dict[str, type] = {}
+
+    def _store(self, *values):
+        """Set the declared arrays, as float64, from the constructor's
+        arguments; ShapeError unless every named dimension has one size, at
+        least 1, across all of them."""
+        sizes: dict[str, int] = {}
+        for (name, dims), value in zip(self.arrays.items(), values):
+            array = np.asarray(value, dtype=np.float64)
+            if array.ndim != len(dims) or any(
+                    sizes.setdefault(d, n) != n or n < 1 for d, n in zip(dims, array.shape)):
+                raise ShapeError(f"{self.kind} array {name!r} has shape {array.shape}, but its "
+                                 f"dimensions {dims} must be >= 1 and match {sizes}")
+            setattr(self, name, array)
 
     def param_blocks(self):
         return [ParamBlock(name, getattr(self, name), l2) for name, l2 in self.params.items()]
@@ -94,12 +108,9 @@ class Layer:
     def from_entry(cls, entry):
         """Rebuild a layer; SchemaError if the entry does not match the declaration."""
         where = f"{cls.kind} layer entry"
-        missing = [key for key in ("shape", "values", *cls.settings) if key not in entry]
-        if missing:
-            raise SchemaError(f"{where} is missing keys {missing}")
+        check_exact(entry, {"type": str, **cls.settings, "shape": list, "values": list}, where)
         shapes, values = entry["shape"], entry["values"]
-        if not (isinstance(shapes, list) and isinstance(values, list)
-                and len(shapes) == len(values) == len(cls.arrays)):
+        if not len(shapes) == len(values) == len(cls.arrays):
             raise SchemaError(f"{where} must record {len(cls.arrays)} arrays "
                               f"{list(cls.arrays)} in 'shape' and 'values'")
         stored = []
@@ -111,30 +122,24 @@ class Layer:
             if array.dtype.kind not in "iuf" or list(array.shape) != shape:
                 raise SchemaError(f"{where}: {name!r} is not a numeric array of shape {shape}")
             stored.append(array)
-        for name, kind in cls.settings.items():
-            accepted = (int, float) if kind is float else kind
-            if isinstance(entry[name], bool) or not isinstance(entry[name], accepted):
-                raise SchemaError(f"{where}: {name!r} must be {kind.__name__}")
-        return cls(*stored, *(entry[name] for name in cls.settings))
+        try:
+            return cls(*stored, *(entry[name] for name in cls.settings))
+        except ValueError as exc:  # a setting out of range, or arrays that disagree
+            raise SchemaError(f"{where}: {exc}") from None
 
 
 class Dense(Layer):
     """Affine map y = f(x W^T + b) with f in {relu, identity}."""
 
     kind = "dense"
-    arrays = ("weights", "bias")
+    arrays = {"weights": ("out", "in"), "bias": ("out",)}
     params = {"weights": True, "bias": False}
     settings = {"activation": str}
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "relu"):
         if activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
-        weights = np.asarray(weights, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64).ravel()
-        if bias.shape[0] != weights.shape[0]:
-            raise ShapeError(f"bias length {bias.shape[0]} != weight rows {weights.shape[0]}")
-        self.weights = weights
-        self.bias = bias
+        self._store(weights, bias)
         self.activation = activation
 
     @classmethod
@@ -183,17 +188,13 @@ class BatchNorm(Layer):
     """
 
     kind = "batchnorm"
-    arrays = ("gamma", "beta", "running_mean", "running_var")
+    arrays = {"gamma": ("d",), "beta": ("d",), "running_mean": ("d",), "running_var": ("d",)}
     params = {"gamma": False, "beta": False}
     settings = {"momentum": float, "epsilon": float}
 
     def __init__(self, gamma, beta, running_mean, running_var,
                  momentum: float = 0.9, epsilon: float = 1e-5):
-        stats = [np.asarray(a, dtype=np.float64) for a in (gamma, beta, running_mean, running_var)]
-        if any(a.ndim != 1 or a.shape != stats[0].shape for a in stats):
-            raise ShapeError(f"batchnorm needs 4 equal-length vectors, got "
-                             f"{[a.shape for a in stats]}")
-        self.gamma, self.beta, self.running_mean, self.running_var = stats
+        self._store(gamma, beta, running_mean, running_var)
         self.momentum, self.epsilon = momentum, epsilon
 
     @classmethod
@@ -276,21 +277,11 @@ class ResidualBlock(Layer):
     y = f(W2 f(W1 x + b1) + b2) + x. Dimension is preserved by construction."""
 
     kind = "residual"
-    arrays = ("w1", "b1", "w2", "b2")
+    arrays = {"w1": ("d", "d"), "b1": ("d",), "w2": ("d", "d"), "b2": ("d",)}
     params = {"w1": True, "b1": False, "w2": True, "b2": False}
 
     def __init__(self, w1, b1, w2, b2):
-        w1 = np.asarray(w1, dtype=np.float64)
-        w2 = np.asarray(w2, dtype=np.float64)
-        d = w1.shape[0]
-        if w1.shape != (d, d) or w2.shape != (d, d):
-            raise ShapeError(
-                f"residual weights must be square and equal-sized, got {w1.shape}, {w2.shape}"
-            )
-        self.w1 = w1
-        self.b1 = np.asarray(b1, dtype=np.float64).ravel()
-        self.w2 = w2
-        self.b2 = np.asarray(b2, dtype=np.float64).ravel()
+        self._store(w1, b1, w2, b2)
 
     @classmethod
     def init(cls, dim: int, rng: Rng) -> "ResidualBlock":
@@ -331,18 +322,14 @@ class Conv1D(Layer):
     """
 
     kind = "conv1d"
-    arrays = ("kernels", "bias")
+    arrays = {"kernels": ("k", "width"), "bias": ("k",)}
     params = {"kernels": True, "bias": False}
     settings = {"stride": int}
 
     def __init__(self, kernels, bias, stride: int = 1):
-        kernels = np.asarray(kernels, dtype=np.float64)
-        if kernels.ndim != 2 or kernels.shape[1] < 1:
-            raise ShapeError(f"kernels must be [n_kernels x width], got {kernels.shape}")
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
-        self.kernels = kernels
-        self.bias = np.asarray(bias, dtype=np.float64).ravel()
+        self._store(kernels, bias)
         self.stride = stride
 
     @classmethod

@@ -10,14 +10,14 @@ the class count, finished by softmax cross-entropy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import layers as L
-from .errors import DataError, SchemaError, ShapeError, StateError
-from .featcomb import CombinationSpec
+from .errors import DataError, SchemaError, ShapeError, StateError, check_exact, schema_of
+from .featcomb import CombinationSpec, enumerate_subsets
 from .ndcore import RNG_ALGORITHM, Rng
 
 KIND_TCN = "tcn"
@@ -26,11 +26,12 @@ KIND_MLP = "mlp"
 KIND_CNN1D = "cnn1d"
 MODEL_KINDS = (KIND_TCN, KIND_LOGISTIC, KIND_MLP, KIND_CNN1D)
 
-CHECKPOINT_FORMAT_KEYS = (
-    "kind", "config", "combination", "subsets", "normalization_stats",
-    "layers", "rng_algorithm", "seed", "input_dim", "n_classes",
-    "feature_names", "class_names", "label_column",
-)
+CHECKPOINT_FORMAT_KEYS = {
+    "kind": str, "config": dict, "combination": (dict, type(None)),
+    "subsets": (list, type(None)), "normalization_stats": (dict, type(None)),
+    "layers": list, "rng_algorithm": str, "seed": int, "input_dim": int, "n_classes": int,
+    "feature_names": list, "class_names": list, "label_column": str,
+}
 
 
 @dataclass
@@ -215,44 +216,53 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _from_section(doc: dict, key: str, cls):
-    """``cls`` built from the checkpoint object under ``key``."""
-    section = doc[key]
-    if not isinstance(section, dict):
-        raise SchemaError(f"checkpoint '{key}' must be an object")
-    unknown = sorted(set(section) - {f.name for f in fields(cls)})
-    if unknown:
-        raise SchemaError(f"checkpoint '{key}' has unknown keys {unknown}")
-    return cls(**section)
-
-
 def load_checkpoint(path) -> Checkpoint:
+    """Rebuild a checkpoint; SchemaError naming the problem if a key at any
+    level is unknown, missing or of the wrong type, or if keys disagree."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"checkpoint {path} is not a JSON object")
-    missing = [key for key in CHECKPOINT_FORMAT_KEYS if key not in doc]
-    if missing:
-        raise SchemaError(f"checkpoint {path} is missing keys {missing}")
-    entries = doc["layers"]
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
-    stack = [L.layer_from_entry(e) for e in entries]
-    model = ModelGraph(doc["kind"], doc["input_dim"], doc["n_classes"], stack)
-    cfg = _from_section(doc, "config", ModelConfig)
-    comb = (_from_section(doc, "combination", CombinationSpec)
-            if doc["combination"] is not None else None)
-    subsets = [tuple(s) for s in doc["subsets"]] if doc["subsets"] is not None else None
+    check_exact(doc, CHECKPOINT_FORMAT_KEYS, f"checkpoint {path}")
+    if doc["kind"] not in MODEL_KINDS:
+        raise SchemaError(f"checkpoint 'kind' must be one of {list(MODEL_KINDS)}, "
+                          f"got {doc['kind']!r}")
+    n_classes, class_names = doc["n_classes"], doc["class_names"]
+    if n_classes != len(class_names):
+        raise SchemaError(f"checkpoint 'n_classes' is {n_classes}, but 'class_names' "
+                          f"lists {len(class_names)}")
+    check_exact(doc["config"], schema_of(ModelConfig), "checkpoint 'config'")
+    comb, n_features = doc["combination"], len(doc["feature_names"])
+    if comb is not None:
+        check_exact(comb, schema_of(CombinationSpec), "checkpoint 'combination'")
+        comb = CombinationSpec(**comb)
+        try:
+            comb.validate()
+        except ValueError as exc:
+            raise SchemaError(f"checkpoint 'combination': {exc}") from None
+        if comb.m > n_features:
+            raise SchemaError(f"checkpoint 'combination' has m={comb.m} for {n_features} features")
+    subsets = doc["subsets"]
+    if subsets is not None:
+        made = enumerate_subsets(n_features, comb.m, comb.max_combined) if comb else None
+        if made is None or subsets != [list(s) for s in made]:
+            raise SchemaError(f"checkpoint 'subsets' are not the m-subsets of {n_features} "
+                              f"features that 'combination' makes")
+        subsets = made
     stats = doc["normalization_stats"]
-    mean = np.array(stats["mean"], dtype=np.float64) if stats else None
-    std = np.array(stats["std"], dtype=np.float64) if stats else None
+    if stats is not None:
+        check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in stats["mean"] + stats["std"]):
+            raise SchemaError("checkpoint 'normalization_stats' must hold lists of numbers")
+    if not all(isinstance(e, dict) for e in doc["layers"]):
+        raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
+    stack = [L.layer_from_entry(e) for e in doc["layers"]]
     return Checkpoint(
-        model=model, config=cfg, combination=comb, subsets=subsets,
-        norm_mean=mean, norm_std=std,
-        feature_names=list(doc["feature_names"]),
-        class_names=list(doc["class_names"]),
-        label_column=doc["label_column"],
-        seed=doc["seed"],
+        model=ModelGraph(doc["kind"], doc["input_dim"], n_classes, stack),
+        config=ModelConfig(**doc["config"]), combination=comb, subsets=subsets,
+        norm_mean=np.array(stats["mean"], dtype=np.float64) if stats else None,
+        norm_std=np.array(stats["std"], dtype=np.float64) if stats else None,
+        feature_names=list(doc["feature_names"]), class_names=list(class_names),
+        label_column=doc["label_column"], seed=doc["seed"],
     )

@@ -131,9 +131,11 @@ def evaluate(model: M.ModelGraph, ds: Dataset) -> EvalResult:
     if ds.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     probs, cache = M.forward(model, ds.features, L.INFER)
+    c = model.n_classes
+    if probs.shape[1] != c:
+        raise ShapeError(f"model outputs {probs.shape[1]} class scores for {c} classes")
     loss = M.loss_from_cache(cache, ds.labels)
     preds = np.argmax(probs, axis=1)
-    c = model.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (ds.labels, preds), 1)
     accuracy = float(np.trace(confusion)) / ds.n_samples

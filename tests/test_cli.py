@@ -410,6 +410,22 @@ def test_eval_checkpoint_not_json_exit_2(tmp_path, train_csv, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def shorten_b1(doc):
+    """The residual block's b1 one short, with its shape record to match."""
+    residual = doc["layers"][1]
+    residual["values"][1].pop()
+    residual["shape"][1][0] -= 1
+
+
+def widen_head(doc):
+    """One more row in the head dense layer, so it scores an extra class."""
+    head = doc["layers"][-1]
+    head["values"][0].append(head["values"][0][0])
+    head["values"][1].append(0.0)
+    head["shape"][0][0] += 1
+    head["shape"][1][0] += 1
+
+
 # edits of a trained tcn checkpoint (layers: dense, residual, batchnorm, relu,
 # dropout, dense, dense), each with a word its error message must name
 MALFORMED_CHECKPOINTS = {
@@ -423,6 +439,27 @@ MALFORMED_CHECKPOINTS = {
     "dense_bias_short": (lambda d: d["layers"][0]["values"][1].pop(), "'bias'"),
     "layers_not_a_list": (lambda d: d.update(layers=5), "'layers'"),
     "ragged_weight_row": (lambda d: d["layers"][0]["values"][0][0].pop(), "'weights'"),
+    "stats_without_std": (lambda d: d["normalization_stats"].pop("std"), "'std'"),
+    "stats_not_an_object": (lambda d: d.update(normalization_stats=5),
+                            "'normalization_stats'"),
+    "stats_mean_short": (lambda d: d["normalization_stats"]["mean"].pop(),
+                         "normalization stats"),
+    "subsets_not_a_list": (lambda d: d.update(subsets=5), "'subsets'"),
+    "subsets_not_the_spec": (lambda d: d.update(subsets=[5]), "'subsets'"),
+    "feature_names_not_a_list": (lambda d: d.update(feature_names=5), "'feature_names'"),
+    "class_names_not_a_list": (lambda d: d.update(class_names=5), "'class_names'"),
+    "n_classes_not_class_names": (lambda d: d.update(n_classes=3), "'n_classes'"),
+    "combination_m_string": (lambda d: d["combination"].update(m="2"), "'m'"),
+    "combination_bad_approach": (lambda d: d["combination"].update(approach="bogus"),
+                                 "bogus"),
+    "combination_m_past_features": (lambda d: (d["combination"].update(m=5),
+                                               d.update(subsets=None)), "m=5"),
+    "config_hidden1_string": (lambda d: d["config"].update(hidden1="20"), "'hidden1'"),
+    "unknown_kind": (lambda d: d.update(kind="bogus"), "bogus"),
+    "layer_unknown_key": (lambda d: d["layers"][0].update(colour="red"), "colour"),
+    "dropout_rate_out_of_range": (lambda d: d["layers"][4].update(rate=1.5), "rate"),
+    "residual_b1_short": (shorten_b1, "'b1'"),
+    "head_one_row_wider": (widen_head, "class scores"),
 }
 
 

@@ -238,9 +238,9 @@ def test_spec_validate_errors():
     with pytest.raises(ValueError):
         CombinationSpec(max_combined=0).validate()
     with pytest.raises(ValueError):
-        CombinationSpec(m=5).validate(n_features=4)
+        transform_dataset(np.ones((1, 4)), CombinationSpec(m=5))
     with pytest.raises(CapacityError):
-        CombinationSpec(m=10, max_combined=100).validate(n_features=25)
+        transform_dataset(np.ones((1, 25)), CombinationSpec(m=10, max_combined=100))
 
 
 def test_output_dim_accounting():

@@ -322,6 +322,8 @@ def test_residual_shape_validation():
         ResidualBlock(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ShapeError):
         ResidualBlock(np.zeros((2, 2)), np.zeros(2), np.zeros((3, 3)), np.zeros(3))
+    with pytest.raises(ShapeError):
+        ResidualBlock(np.zeros((2, 2)), np.zeros(1), np.zeros((2, 2)), np.zeros(2))
     block = ResidualBlock.init(3, Rng(0))
     with pytest.raises(ShapeError):
         block.forward(np.ones((1, 4)))
@@ -394,6 +396,8 @@ def test_conv1d_output_length():
 def test_conv1d_validation():
     with pytest.raises(ShapeError):
         Conv1D(np.ones(3), [0.0])
+    with pytest.raises(ShapeError):
+        Conv1D(np.ones((2, 3)), [0.0])
     with pytest.raises(ValueError):
         Conv1D(np.ones((1, 3)), [0.0], stride=0)
 
