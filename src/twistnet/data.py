@@ -88,6 +88,11 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     else:
         header = [f"f{i}" for i in range(width)]
         rows = cells
+    if len(set(header)) < width:
+        repeated = next(h for i, h in enumerate(header) if h in header[:i])
+        raise SchemaError(f"{path}: header repeats column {repeated!r}")
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
 
     if isinstance(label_column, int) or (isinstance(label_column, str) and label_column.lstrip("-").isdigit()):
         label_idx = int(label_column)

@@ -2,13 +2,11 @@
 
 Every layer follows the same contract: ``forward(x, mode, rng)`` returns
 ``(y, cache)``, ``backward(cache, upstream)`` returns ``(grad_x, grads)``
-with ``grads`` aligned to ``param_blocks()``. Gradients are for the batch
-objective as-is; any L2 term is added by the trainer, never here.
+with ``grads`` aligned to ``params``. Gradients are for the batch objective
+as-is; any L2 term is added by the trainer, never here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,15 +15,6 @@ from .ndcore import Rng
 
 TRAIN = "train"
 INFER = "infer"
-
-
-@dataclass
-class ParamBlock:
-    """One trainable array plus whether L2 decay applies to it."""
-
-    name: str
-    array: np.ndarray
-    l2: bool
 
 
 def relu(x):
@@ -82,7 +71,8 @@ class Layer:
     def _store(self, *values):
         """Set the declared arrays, as float64, from the constructor's
         arguments; ShapeError unless every named dimension has one size, at
-        least 1, across all of them."""
+        least 1, across all of them, and ValueError unless every value is
+        finite."""
         sizes: dict[str, int] = {}
         for (name, dims), value in zip(self.arrays.items(), values):
             array = np.asarray(value, dtype=np.float64)
@@ -90,10 +80,9 @@ class Layer:
                     sizes.setdefault(d, n) != n or n < 1 for d, n in zip(dims, array.shape)):
                 raise ShapeError(f"{self.kind} array {name!r} has shape {array.shape}, but its "
                                  f"dimensions {dims} must be >= 1 and match {sizes}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"{self.kind} array {name!r} holds a value that is not finite")
             setattr(self, name, array)
-
-    def param_blocks(self):
-        return [ParamBlock(name, getattr(self, name), l2) for name, l2 in self.params.items()]
 
     def to_entry(self):
         stored = [getattr(self, name) for name in self.arrays]
@@ -194,7 +183,11 @@ class BatchNorm(Layer):
 
     def __init__(self, gamma, beta, running_mean, running_var,
                  momentum: float = 0.9, epsilon: float = 1e-5):
+        if not epsilon > 0:
+            raise ValueError(f"batchnorm 'epsilon' must be > 0, got {epsilon}")
         self._store(gamma, beta, running_mean, running_var)
+        if (self.running_var < 0).any():
+            raise ValueError("batchnorm 'running_var' must not be negative")
         self.momentum, self.epsilon = momentum, epsilon
 
     @classmethod

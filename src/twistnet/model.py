@@ -56,22 +56,34 @@ class ModelConfig:
 
 @dataclass
 class ModelGraph:
-    """Ordered layer stack with a single forward/backward contract."""
+    """Ordered layer stack with a single forward/backward contract.
+
+    The graph owns ``params``, one float64 vector holding every trainable
+    array of every layer, in layer order and then each layer's ``params``
+    order; on construction each layer's arrays become views into it.
+    ``l2_mask`` marks the entries that L2 decay applies to.
+    """
 
     kind: str
     input_dim: int
     n_classes: int
     layers: list = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    l2_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def param_blocks(self) -> list[L.ParamBlock]:
-        blocks = []
-        for i, layer in enumerate(self.layers):
-            for pb in layer.param_blocks():
-                blocks.append(L.ParamBlock(f"layer{i}.{layer.kind}.{pb.name}", pb.array, pb.l2))
-        return blocks
+    def __post_init__(self):
+        owned = [(layer, name) for layer in self.layers for name in layer.params]
+        arrays = [getattr(layer, name) for layer, name in owned]
+        self.params = np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
+        self.l2_mask = np.repeat(np.array([layer.params[name] for layer, name in owned], bool),
+                                 [a.size for a in arrays])
+        start = 0
+        for (layer, name), a in zip(owned, arrays):
+            setattr(layer, name, self.params[start : start + a.size].reshape(a.shape))
+            start += a.size
 
     def parameter_count(self) -> int:
-        return sum(pb.array.size for pb in self.param_blocks())
+        return self.params.size
 
 
 def build_tcn(input_dim_after_combination: int, n_classes: int,
@@ -145,22 +157,19 @@ def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = Non
     return probs, full_cache
 
 
-def backward(model: ModelGraph, cache, labels) -> list[np.ndarray]:
-    """Gradient of mean cross-entropy wrt every parameter block, aligned
-    with ``model.param_blocks()``. L2 is the trainer's business."""
+def backward(model: ModelGraph, cache, labels) -> np.ndarray:
+    """Gradient of mean cross-entropy as one vector aligned with
+    ``model.params``. L2 is the trainer's business."""
     if not isinstance(cache, dict) or cache.get("mode") != L.TRAIN:
         raise StateError("backward needs the cache of a train-mode forward pass")
     if len(cache.get("layer_caches", [])) != len(model.layers):
         raise StateError("cache does not match the model's layer stack")
     _, upstream = L.softmax_cross_entropy(cache["logits"], labels)
-    grads_per_layer: list[list[np.ndarray]] = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        upstream, grads = model.layers[i].backward(cache["layer_caches"][i], upstream)
-        grads_per_layer[i] = grads
-    flat: list[np.ndarray] = []
-    for grads in grads_per_layer:
-        flat.extend(grads)
-    return flat
+    pieces: list[np.ndarray] = []
+    for layer, layer_cache in zip(model.layers[::-1], cache["layer_caches"][::-1]):
+        upstream, grads = layer.backward(layer_cache, upstream)
+        pieces[:0] = [g.ravel() for g in grads]
+    return np.concatenate([np.zeros(0), *pieces])
 
 
 def loss_from_cache(cache, labels) -> float:
@@ -252,9 +261,10 @@ def load_checkpoint(path) -> Checkpoint:
     stats = doc["normalization_stats"]
     if stats is not None:
         check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in stats["mean"] + stats["std"]):
-            raise SchemaError("checkpoint 'normalization_stats' must hold lists of numbers")
+        for key, floor in (("mean", -np.inf), ("std", 0.0)):
+            if not all(type(v) in (int, float) and floor < v < np.inf for v in stats[key]):
+                raise SchemaError(f"checkpoint 'normalization_stats': {key!r} must list "
+                                  f"finite numbers above {floor}")
     if not all(isinstance(e, dict) for e in doc["layers"]):
         raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
     stack = [L.layer_from_entry(e) for e in doc["layers"]]

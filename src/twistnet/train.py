@@ -48,53 +48,45 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter block."""
+    """First and second moment vectors, aligned with the parameter vector."""
 
-    def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, cfg: TrainConfig) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update, in place on the parameter arrays.
+def adam_step(params: np.ndarray, grads: np.ndarray,
+              state: AdamState, cfg: TrainConfig) -> tuple[np.ndarray, AdamState]:
+    """One Adam update, in place on the parameter vector.
 
     t += 1
     m = b1*m + (1-b1)*g          v = b2*v + (1-b2)*g^2
     m_hat = m/(1-b1^t)           v_hat = v/(1-b2^t)
     p -= lr * m_hat / (sqrt(v_hat) + eps)
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads, and Adam state must align")
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeError(f"params {params.shape}, grads {grads.shape} and Adam state "
+                         f"{state.m.shape} must align")
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_epsilon)
+    b1, b2, m, v = cfg.beta1, cfg.beta2, state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= (cfg.learning_rate * (m / (1.0 - b1 ** state.t))
+               / (np.sqrt(v / (1.0 - b2 ** state.t)) + cfg.adam_epsilon))
     return params, state
 
 
-def l2_penalty(blocks: list[L.ParamBlock], lam: float):
-    """(lam/2)*sum(w^2) over weight matrices only; biases and norm scales are exempt."""
+def l2_penalty(params: np.ndarray, mask: np.ndarray, lam: float):
+    """(lam/2)*sum(w^2) over the entries ``mask`` marks (weight matrices;
+    biases and norm scales are exempt), and its gradient, exactly +0.0
+    on the exempt entries."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    penalty = 0.0
-    grad_add = []
-    for pb in blocks:
-        if lam > 0 and pb.l2:
-            penalty += 0.5 * lam * float(np.sum(pb.array * pb.array))
-            grad_add.append(lam * pb.array)
-        else:
-            grad_add.append(np.zeros_like(pb.array))
-    return penalty, grad_add
+    weights = np.where(mask, params, 0.0)
+    return 0.5 * lam * float(weights @ weights), lam * weights
 
 
 @dataclass
@@ -165,12 +157,11 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     else:
         fit_set, val_set = train_set, None
 
-    blocks = model.param_blocks()
-    params = [pb.array for pb in blocks]
+    params = model.params
     state = AdamState(params)
     history = TrainHistory()
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = params.copy()
     best_epoch = 0
     stale = 0
     n = fit_set.n_samples
@@ -185,8 +176,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
             _, cache = M.forward(model, xb, L.TRAIN, rng)
             data_loss = M.loss_from_cache(cache, yb)
             grads = M.backward(model, cache, yb)
-            _, l2_grads = l2_penalty(blocks, cfg.l2_lambda)
-            grads = [g + a for g, a in zip(grads, l2_grads)]
+            grads += l2_penalty(params, model.l2_mask, cfg.l2_lambda)[1]
             adam_step(params, grads, state, cfg)
             total_loss += data_loss * len(idx)
         train_loss = total_loss / n
@@ -206,7 +196,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
         if improved:
             best_val = record.val_loss if val_set is not None else np.inf
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best_params = params.copy()
             stale = 0
         else:
             stale += 1
@@ -214,8 +204,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
         if val_set is not None and stale >= cfg.early_stop_patience:
             break
 
-    for p, saved in zip(params, best_params):
-        p[...] = saved
+    params[...] = best_params
     history.best_epoch = best_epoch
     return model, history
 
@@ -320,37 +309,29 @@ def grad_check_report(model: M.ModelGraph, batch, labels,
     with _frozen_stochastic(model):
         _, cache = M.forward(model, batch, L.TRAIN)
         analytic = M.backward(model, cache, labels)
-        if corruption != 0.0 and analytic:
-            analytic[0] = analytic[0].copy()
-            analytic[0].flat[0] += corruption
+        if corruption != 0.0 and analytic.size:
+            analytic[0] += corruption
 
+        params = model.params
+        owners = [layer.kind for layer in model.layers
+                  for name in layer.params for _ in range(getattr(layer, name).size)]
         per_kind: dict[str, float | None] = {layer.kind: None for layer in model.layers}
-        overall = 0.0
-        block_idx = 0
-        for layer in model.layers:
-            for pb in layer.param_blocks():
-                a = analytic[block_idx].ravel()
-                flat = pb.array.ravel()
-                worst = 0.0
-                for j in range(flat.size):
-                    orig = flat[j]
-                    err = np.inf
-                    for step in steps:
-                        flat[j] = orig + step
-                        up = _loss_only(model, batch, labels)
-                        flat[j] = orig - step
-                        down = _loss_only(model, batch, labels)
-                        flat[j] = orig
-                        numeric = (up - down) / (2.0 * step)
-                        diff = abs(a[j] - numeric)
-                        if diff <= 4.0 * np.spacing(max(abs(up), abs(down))) / (2.0 * step):
-                            rel = 0.0
-                        else:
-                            rel = diff / max(abs(a[j]), abs(numeric), 1e-8)
-                        err = min(err, rel)
-                    worst = max(worst, err)
-                prev = per_kind[layer.kind]
-                per_kind[layer.kind] = worst if prev is None else max(prev, worst)
-                overall = max(overall, worst)
-                block_idx += 1
+        for j, kind in enumerate(owners):
+            orig = params[j]
+            err = np.inf
+            for step in steps:
+                params[j] = orig + step
+                up = _loss_only(model, batch, labels)
+                params[j] = orig - step
+                down = _loss_only(model, batch, labels)
+                params[j] = orig
+                numeric = (up - down) / (2.0 * step)
+                diff = abs(analytic[j] - numeric)
+                if diff <= 4.0 * np.spacing(max(abs(up), abs(down))) / (2.0 * step):
+                    rel = 0.0
+                else:
+                    rel = diff / max(abs(analytic[j]), abs(numeric), 1e-8)
+                err = min(err, rel)
+            per_kind[kind] = max(per_kind[kind] or 0.0, err)
+        overall = max((e for e in per_kind.values() if e is not None), default=0.0)
         return overall, per_kind

@@ -357,9 +357,9 @@ def criterion_6():
 # ---------------------------------------------------------------------------
 
 def criterion_7():
-    p = [np.array([1.0])]
-    adam_step(p, [np.array([2.0])], AdamState(p), TrainConfig())
-    got = float(p[0][0])
+    p = np.array([1.0])
+    adam_step(p, np.array([2.0]), AdamState(p), TrainConfig())
+    got = float(p[0])
     ok = abs(got - 0.9990) < 1e-6
     detail = f"w' = {got:.10f}, expected 0.9990 within 1e-6"
     return ok, detail

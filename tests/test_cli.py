@@ -388,6 +388,34 @@ def test_non_finite_cell_exits_2(tmp_path, train_csv, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_repeated_header_name_exits_2(tmp_path, train_csv, capsys):
+    lines = train_csv.read_text().splitlines()
+    lines[0] = lines[0].replace("x1", "x0")
+    dup_csv = tmp_path / "dup.csv"
+    dup_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, outdir = run_train(tmp_path, dup_csv, "duprun")
+    assert code == 2
+    assert not (outdir / "results.json").exists()
+    assert "'x0'" in capsys.readouterr().err
+    ckpt, _ = trained(tmp_path, train_csv)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(dup_csv)]) == 2
+    assert "'x0'" in capsys.readouterr().err
+
+
+def test_header_only_csv_exits_2(tmp_path, train_csv, capsys):
+    header_csv = tmp_path / "header.csv"
+    header_csv.write_text(train_csv.read_text().splitlines()[0] + "\n", encoding="utf-8")
+    code, _ = run_train(tmp_path, header_csv, "headerrun")
+    assert code == 2
+    cfg = write_config(tmp_path, {"dataset": str(header_csv), "label_column": "label"})
+    assert main(["gradcheck", "--config", str(cfg)]) == 2
+    ckpt, _ = trained(tmp_path, train_csv)
+    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(header_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("no data rows") == 3
+
+
 def test_eval_checkpoint_missing_keys_exit_2(tmp_path, train_csv, capsys):
     ckpt, _ = trained(tmp_path, train_csv)
     doc = json.loads(ckpt.read_text())
@@ -426,6 +454,19 @@ def widen_head(doc):
     head["shape"][1][0] += 1
 
 
+def setting(value, *keys):
+    """An edit that sets doc[keys[0]][keys[1]]... to value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+# a number literal that Python's json reads as inf but never writes; an edit
+# stores it as a string, and the test unquotes it in the written text
+OVERFLOW = "1e999"
+
 # edits of a trained tcn checkpoint (layers: dense, residual, batchnorm, relu,
 # dropout, dense, dense), each with a word its error message must name
 MALFORMED_CHECKPOINTS = {
@@ -460,6 +501,18 @@ MALFORMED_CHECKPOINTS = {
     "dropout_rate_out_of_range": (lambda d: d["layers"][4].update(rate=1.5), "rate"),
     "residual_b1_short": (shorten_b1, "'b1'"),
     "head_one_row_wider": (widen_head, "class scores"),
+    "dense_weight_nan": (setting(math.nan, "layers", 0, "values", 0, 0, 0), "'weights'"),
+    "residual_w2_infinity": (setting(math.inf, "layers", 1, "values", 2, 0, 0), "'w2'"),
+    "head_bias_1e999": (setting(OVERFLOW, "layers", 6, "values", 1, 0), "'bias'"),
+    "running_mean_nan": (setting(math.nan, "layers", 2, "values", 2, 0), "'running_mean'"),
+    "running_var_negative": (setting(-1.0, "layers", 2, "values", 3, 0), "'running_var'"),
+    "epsilon_zero": (setting(0.0, "layers", 2, "epsilon"), "'epsilon'"),
+    "epsilon_negative": (setting(-1.0, "layers", 2, "epsilon"), "'epsilon'"),
+    "stats_std_zero": (setting(0.0, "normalization_stats", "std", 0), "'std'"),
+    "stats_std_negative": (setting(-2.0, "normalization_stats", "std", 1), "'std'"),
+    "stats_std_1e999": (setting(OVERFLOW, "normalization_stats", "std", 0), "'std'"),
+    "stats_mean_nan": (setting(math.nan, "normalization_stats", "mean", 0), "'mean'"),
+    "stats_mean_infinity": (setting(-math.inf, "normalization_stats", "mean", 2), "'mean'"),
 }
 
 
@@ -470,7 +523,7 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, train_csv, capsys, case):
     edit, named = MALFORMED_CHECKPOINTS[case]
     edit(doc)
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(doc), encoding="utf-8")
+    broken.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW), encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(broken), "--input", str(train_csv)]) == 2
     err = capsys.readouterr().err

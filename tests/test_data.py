@@ -117,8 +117,17 @@ def test_load_csv_schema_errors(tmp_path):
     empty = write(tmp_path, "", name="empty.csv")
     with pytest.raises(SchemaError):
         load_csv(empty, "label")
+    header_only = write(tmp_path, "a,b,label\n", name="header_only.csv")
+    with pytest.raises(SchemaError, match="no data rows"):
+        load_csv(header_only, "label")
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "missing.csv", "label")
+
+
+def test_load_csv_rejects_repeated_header_name(tmp_path):
+    p = write(tmp_path, "x0,x0,x2,label\n1.0,2.0,3.0,pos\n")
+    with pytest.raises(SchemaError, match="'x0'"):
+        load_csv(p, "label")
 
 
 def test_save_load_roundtrip_bit_exact(tmp_path):

@@ -127,7 +127,7 @@ def test_relu_layer_forward_backward():
     grad_x, grads = layer.backward(cache, np.array([[3.0, 3.0]]))
     assert grad_x.tolist() == [[0.0, 3.0]]
     assert grads == []
-    assert layer.param_blocks() == []
+    assert layer.params == {}
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +515,10 @@ def test_from_entry_checks_settings_and_cells():
     dense["values"][0][0][1] = "0.5"
     with pytest.raises(SchemaError, match="'weights' is not a numeric array"):
         Dense.from_entry(dense)
+    for bad in (np.nan, np.inf, -np.inf):  # all three parse from checkpoint JSON
+        dense["values"][0][0][1] = bad
+        with pytest.raises(SchemaError, match="'weights' holds a value that is not finite"):
+            Dense.from_entry(dense)
 
 
 def test_batchnorm_arrays_must_be_equal_length_vectors():
@@ -522,6 +526,15 @@ def test_batchnorm_arrays_must_be_equal_length_vectors():
         BatchNorm(np.ones(3), np.zeros(3), np.zeros(4), np.ones(3))
     with pytest.raises(ShapeError):
         BatchNorm(np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)))
+
+
+def test_batchnorm_epsilon_and_running_var_ranges():
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="'epsilon'"):
+            BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 0.9, eps)
+    with pytest.raises(ValueError, match="'running_var'"):
+        BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, -1e-3]))
+    BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2))  # zero variance is allowed
 
 
 def test_functional_wrappers_agree_with_methods():

@@ -78,13 +78,10 @@ def test_no_batchnorm_variant():
 def test_same_seed_builds_identical_parameters():
     a = build_tcn(6, 3, ModelConfig(seed=11))
     b = build_tcn(6, 3, ModelConfig(seed=11))
-    for pa, pb in zip(a.param_blocks(), b.param_blocks()):
-        assert pa.name == pb.name
-        assert np.array_equal(pa.array, pb.array)
+    assert np.array_equal(a.l2_mask, b.l2_mask)
+    assert np.array_equal(a.params, b.params)
     c = build_tcn(6, 3, ModelConfig(seed=12))
-    assert not all(
-        np.array_equal(x.array, y.array) for x, y in zip(a.param_blocks(), c.param_blocks())
-    )
+    assert not np.array_equal(a.params, c.params)
 
 
 def test_logistic_baseline_parameter_count():
@@ -125,15 +122,44 @@ def test_config_validation():
         ModelConfig(n_residual_blocks=-1).validate()
 
 
+L2_ARRAYS = ("weights", "w1", "w2", "kernels")
+
+
+def expected_l2_mask(model):
+    return np.concatenate([np.full(getattr(layer, name).size, name in L2_ARRAYS)
+                           for layer in model.layers for name in layer.params])
+
+
 def test_param_block_names_are_addressable():
     model = toy_model()
-    names = [pb.name for pb in model.param_blocks()]
-    assert len(names) == len(set(names))
-    assert names[0] == "layer0.dense.weights"
+    first = model.layers[0].weights
+    assert np.shares_memory(model.params[: first.size], first)
     # weight matrices carry L2, biases and norm parameters do not
-    for pb in model.param_blocks():
-        leaf = pb.name.rsplit(".", 1)[1]
-        assert pb.l2 == (leaf in ("weights", "w1", "w2", "kernels"))
+    assert np.array_equal(model.l2_mask, expected_l2_mask(model))
+
+
+def every_graph(tmp_path):
+    """Each way a ModelGraph is made: both builders, every baseline kind, a load."""
+    cfg = ModelConfig(hidden1=4, hidden2=3)
+    graphs = [build_tcn(6, 3, cfg)]
+    graphs += [build_baseline(kind, 6, 3, cfg) for kind in (KIND_LOGISTIC, KIND_MLP, KIND_CNN1D)]
+    _, path = make_checkpoint(tmp_path)
+    return graphs + [load_checkpoint(path).model]
+
+
+def test_every_param_array_is_a_view_of_model_params(tmp_path):
+    for model in every_graph(tmp_path):
+        arrays = [getattr(layer, name) for layer in model.layers for name in layer.params]
+        assert all(np.shares_memory(a, model.params) for a in arrays)
+        assert model.params.size == sum(a.size for a in arrays) == model.parameter_count()
+        assert np.array_equal(model.l2_mask, expected_l2_mask(model))
+        model.params[:] = np.arange(model.params.size)
+        written = []
+        for layer in model.layers:
+            entry = layer.to_entry()
+            names = list(layer.arrays)
+            written += [np.ravel(entry["values"][names.index(n)]) for n in layer.params]
+        assert np.array_equal(np.concatenate(written), np.arange(model.params.size))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +215,11 @@ def test_backward_grads_align_with_param_blocks():
     y = np.array([0, 1, 0, 1, 1])
     _, cache = forward(model, x, TRAIN, Rng(0))
     grads = backward(model, cache, y)
-    blocks = model.param_blocks()
-    assert len(grads) == len(blocks)
-    for g, pb in zip(grads, blocks):
-        assert g.shape == pb.array.shape
+    assert grads.shape == model.params.shape
+    # the head's bias comes last in the vector and its gradient sums to zero
+    head = model.layers[-1]
+    assert np.shares_memory(model.params[-head.bias.size :], head.bias)
+    assert abs(grads[-head.bias.size :].sum()) < 1e-12
 
 
 def test_backward_invariant_to_batch_duplication():
@@ -210,8 +237,7 @@ def test_backward_invariant_to_batch_duplication():
     g2 = backward(model, cache2, y2)
     loss2 = loss_from_cache(cache2, y2)
     assert abs(loss1 - loss2) < 1e-12
-    for a, b in zip(g1, g2):
-        assert np.max(np.abs(a - b)) < 1e-12
+    assert np.max(np.abs(g1 - g2)) < 1e-12
 
 
 def test_full_stack_gradient_matches_finite_differences():
@@ -220,8 +246,7 @@ def test_full_stack_gradient_matches_finite_differences():
     r = np.random.default_rng(4)
     # nudge every parameter off the zero-init point: fresh biases put some
     # pre-activations exactly on the relu kink, where slopes are one-sided
-    for pb in model.param_blocks():
-        pb.array += 0.05 * r.normal(size=pb.array.shape)
+    model.params += 0.05 * r.normal(size=model.params.size)
     x = np.asarray(r.normal(size=(6, 3)))
     y = np.array([0, 1, 0, 1, 1, 0])
 
@@ -230,21 +255,18 @@ def test_full_stack_gradient_matches_finite_differences():
 
     h = 1e-5
     worst = 0.0
-    for g, pb in zip(analytic, model.param_blocks()):
-        arr = pb.array
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            _, cp = forward(model, x, TRAIN)
-            lp = loss_from_cache(cp, y)
-            flat[i] = orig - h
-            _, cm = forward(model, x, TRAIN)
-            lm = loss_from_cache(cm, y)
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * h)
-            worst = max(worst, abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8))
+    flat = model.params
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        _, cp = forward(model, x, TRAIN)
+        lp = loss_from_cache(cp, y)
+        flat[i] = orig - h
+        _, cm = forward(model, x, TRAIN)
+        lm = loss_from_cache(cm, y)
+        flat[i] = orig
+        numeric = (lp - lm) / (2.0 * h)
+        worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8))
     assert worst < 1e-4
 
 
@@ -280,9 +302,8 @@ def test_m2_approaches_train_bit_identical_models():
                        [f"c{i}" for i in range(combined.values.shape[1])])
         model = toy_model(input_dim=combined.values.shape[1], seed=1, dropout=0.5)
         model, _ = train_loop(model, ds, cfg)
-        results.append([pb.array.copy() for pb in model.param_blocks()])
-    for a, b in zip(results[0], results[1]):
-        assert np.array_equal(a, b)
+        results.append(model.params.copy())
+    assert np.array_equal(results[0], results[1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from twistnet.data import Dataset, PRODUCT_SIGN, stratified_split, synth_interaction
 from twistnet.errors import CapacityError, DataError, ShapeError
 from twistnet.featcomb import CombinationSpec, transform_dataset
-from twistnet.layers import Dense, ParamBlock
+from twistnet.layers import Dense
 from twistnet.model import (
     KIND_LOGISTIC,
     ModelConfig,
@@ -76,18 +76,18 @@ def test_train_config_to_dict_round_trip():
 
 def test_adam_first_step_pinned():
     # w=1, g=2, defaults: mhat=2, vhat=4, w <- 1 - 0.001*2/(2+1e-8)
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     state = AdamState(p)
-    adam_step(p, [np.array([2.0])], state, TrainConfig())
-    assert abs(p[0][0] - 0.9990) < 1e-6
+    adam_step(p, np.array([2.0]), state, TrainConfig())
+    assert abs(p[0] - 0.9990) < 1e-6
     assert state.t == 1
 
 
 def test_adam_zero_gradient_is_noop():
-    p = [np.array([3.0, -4.0])]
+    p = np.array([3.0, -4.0])
     state = AdamState(p)
-    adam_step(p, [np.zeros(2)], state, TrainConfig())
-    assert p[0].tolist() == [3.0, -4.0]
+    adam_step(p, np.zeros(2), state, TrainConfig())
+    assert p.tolist() == [3.0, -4.0]
 
 
 def test_adam_constant_gradient_step_magnitude_is_lr():
@@ -95,42 +95,43 @@ def test_adam_constant_gradient_step_magnitude_is_lr():
     # lr * g / (|g| + eps), i.e. lr in magnitude, toward lower loss
     cfg = TrainConfig(learning_rate=0.01)
     for g0 in (2.0, -3.0, 0.5):
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         state = AdamState(p)
         prev = 1.0
         for _ in range(5):
-            adam_step(p, [np.array([g0])], state, cfg)
-            step = p[0][0] - prev
-            prev = float(p[0][0])
+            adam_step(p, np.array([g0]), state, cfg)
+            step = p[0] - prev
+            prev = float(p[0])
             assert abs(abs(step) - cfg.learning_rate) < 1e-6
             assert np.sign(step) == -np.sign(g0)
 
 
 def test_adam_updates_in_place():
-    arr = np.ones(3)
-    p = [arr]
+    p = np.ones(3)
     state = AdamState(p)
-    out, out_state = adam_step(p, [np.ones(3)], state, TrainConfig())
-    assert out is p and out[0] is arr and out_state is state
-    assert not np.array_equal(arr, np.ones(3))
+    out, out_state = adam_step(p, np.ones(3), state, TrainConfig())
+    assert out is p and out_state is state
+    assert not np.array_equal(p, np.ones(3))
 
 
 def test_adam_shape_errors():
-    p = [np.ones(2)]
+    p = np.ones(2)
     state = AdamState(p)
     with pytest.raises(ShapeError):
-        adam_step(p, [np.ones(2), np.ones(2)], state, TrainConfig())
+        adam_step(p, np.ones(4), state, TrainConfig())
     with pytest.raises(ShapeError):
-        adam_step(p, [np.ones(3)], state, TrainConfig())
+        adam_step(p, np.ones(3), state, TrainConfig())
+    with pytest.raises(ShapeError):
+        adam_step(np.ones(3), np.ones(3), state, TrainConfig())
 
 
 def test_adam_bias_correction_matters_early():
     # without correction the first step would be far smaller than lr
     cfg = TrainConfig(learning_rate=0.001)
-    p = [np.array([0.0])]
-    adam_step(p, [np.array([1e-3])], AdamState(p), cfg)
+    p = np.array([0.0])
+    adam_step(p, np.array([1e-3]), AdamState(p), cfg)
     # mhat/sqrt(vhat) = g/|g| = 1 regardless of g's tiny size
-    assert abs(abs(p[0][0]) - cfg.learning_rate) < 1e-6
+    assert abs(abs(p[0]) - cfg.learning_rate) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +139,22 @@ def test_adam_bias_correction_matters_early():
 # ---------------------------------------------------------------------------
 
 def test_l2_penalty_weights_only():
-    w = np.array([[3.0, 4.0]])
-    b = np.array([10.0])
-    blocks = [ParamBlock("w", w, True), ParamBlock("b", b, False)]
-    penalty, grad_add = l2_penalty(blocks, 0.1)
+    params = np.array([3.0, 4.0, 10.0])  # a 1x2 weight matrix, then a bias
+    mask = np.array([True, True, False])
+    penalty, grad_add = l2_penalty(params, mask, 0.1)
     assert abs(penalty - 0.5 * 0.1 * 25.0) < 1e-12
-    assert np.allclose(grad_add[0], 0.1 * w)
-    assert np.array_equal(grad_add[1], np.zeros(1))
+    assert np.allclose(grad_add[:2], 0.1 * params[:2])
+    assert np.array_equal(grad_add[2:], np.zeros(1))
+    assert not np.signbit(l2_penalty(-params, mask, 0.1)[1][2])  # exactly +0.0
 
 
 def test_l2_penalty_zero_lambda():
-    blocks = [ParamBlock("w", np.ones((2, 2)), True)]
-    penalty, grad_add = l2_penalty(blocks, 0.0)
+    params, mask = np.ones(4), np.ones(4, dtype=bool)
+    penalty, grad_add = l2_penalty(params, mask, 0.0)
     assert penalty == 0.0
-    assert np.array_equal(grad_add[0], np.zeros((2, 2)))
+    assert np.array_equal(grad_add, np.zeros(4))
     with pytest.raises(ValueError):
-        l2_penalty(blocks, -0.1)
+        l2_penalty(params, mask, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +232,9 @@ def test_train_loop_deterministic():
     for _ in range(2):
         model = build_baseline(KIND_LOGISTIC, 1, 2, ModelConfig(seed=2))
         model, history = train_loop(model, ds, TrainConfig(max_epochs=8, seed=2))
-        runs.append((history.epochs, [pb.array.copy() for pb in model.param_blocks()]))
+        runs.append((history.epochs, model.params.copy()))
     assert runs[0][0] == runs[1][0]
-    for a, b in zip(runs[0][1], runs[1][1]):
-        assert np.array_equal(a, b)
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_train_loop_early_stops_without_signal():
@@ -335,13 +335,12 @@ def test_grad_check_detects_corruption():
 
 def test_grad_check_leaves_model_untouched():
     model, batch, labels = tcn_check_setup()
-    before = [pb.array.copy() for pb in model.param_blocks()]
+    before = model.params.copy()
     stats = [(l.running_mean.copy(), l.running_var.copy())
              for l in model.layers if l.kind == "batchnorm"]
     rates = [l.rate for l in model.layers if l.kind == "dropout"]
     grad_check_report(model, batch, labels)
-    for pb, b in zip(model.param_blocks(), before):
-        assert np.array_equal(pb.array, b)
+    assert np.array_equal(model.params, before)
     for l, (m, v) in zip([l for l in model.layers if l.kind == "batchnorm"], stats):
         assert np.array_equal(l.running_mean, m) and np.array_equal(l.running_var, v)
     assert [l.rate for l in model.layers if l.kind == "dropout"] == rates
