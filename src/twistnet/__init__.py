@@ -6,11 +6,15 @@ small residual network, and trains the whole thing with hand-written
 reverse-mode gradients. Everything is deterministic given a seed.
 """
 
+from types import ModuleType as _ModuleType
+
 from .data import (
     PRODUCT_SIGN,
     THREE_WAY_PRODUCT_SIGN,
     Dataset,
     NormStats,
+    Pipeline,
+    combine,
     load_csv,
     save_csv,
     stratified_split,
@@ -82,67 +86,7 @@ from .train import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RNG_ALGORITHM",
-    "Rng",
-    "MULTIPLICATIVE",
-    "PAIRWISE_SUM",
-    "CombinationSpec",
-    "CombinedFeatures",
-    "combine_multiplicative",
-    "combine_pairwise_sum",
-    "combine_backward",
-    "combined_feature_names",
-    "enumerate_subsets",
-    "global_interaction",
-    "transform_dataset",
-    "TRAIN",
-    "INFER",
-    "Dense",
-    "ReLULayer",
-    "BatchNorm",
-    "Dropout",
-    "ResidualBlock",
-    "Conv1D",
-    "relu",
-    "he_init",
-    "softmax_cross_entropy",
-    "ModelConfig",
-    "ModelGraph",
-    "build_tcn",
-    "build_baseline",
-    "forward",
-    "backward",
-    "predict",
-    "Checkpoint",
-    "save_checkpoint",
-    "load_checkpoint",
-    "Dataset",
-    "NormStats",
-    "load_csv",
-    "save_csv",
-    "zscore_fit",
-    "zscore_apply",
-    "stratified_split",
-    "synth_interaction",
-    "PRODUCT_SIGN",
-    "THREE_WAY_PRODUCT_SIGN",
-    "TrainConfig",
-    "TrainHistory",
-    "EvalResult",
-    "AdamState",
-    "adam_step",
-    "l2_penalty",
-    "train_loop",
-    "evaluate",
-    "grad_check_report",
-    "find_check_batch",
-    "kink_distance",
-    "ShapeError",
-    "CapacityError",
-    "DataError",
-    "ParseError",
-    "SchemaError",
-    "ConfigError",
-    "StateError",
-]
+# every name imported above, so each public name is listed once; the
+# submodules themselves are not exported
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

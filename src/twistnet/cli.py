@@ -18,11 +18,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .data import Dataset, NormStats, load_csv, save_csv, zscore_apply, zscore_fit
+from .data import Pipeline, combine, load_csv, save_csv
 from .errors import (
     CapacityError,
     ConfigError,
@@ -31,13 +29,7 @@ from .errors import (
     check_keys,
     schema_of,
 )
-from .featcomb import (
-    MULTIPLICATIVE,
-    PAIRWISE_SUM,
-    CombinationSpec,
-    combined_feature_names,
-    transform_dataset,
-)
+from .featcomb import MULTIPLICATIVE, PAIRWISE_SUM, CombinationSpec
 from .model import (
     KIND_TCN,
     MODEL_KINDS,
@@ -150,32 +142,6 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(doc)
 
 
-# ---------------------------------------------------------------------------
-# shared pipeline pieces
-# ---------------------------------------------------------------------------
-
-def _combine(ds: Dataset, spec: CombinationSpec | None):
-    """Expand ``ds`` over every m-subset of its features and name the new
-    columns. Returns (combined dataset, subsets); without a spec, ``ds``
-    passes through unchanged with subsets None."""
-    if spec is None:
-        return ds, None
-    combined = transform_dataset(ds.features, spec)
-    names = combined_feature_names(combined.subsets, spec, ds.feature_names)
-    return replace(ds, features=combined.values, feature_names=names), combined.subsets
-
-
-def _prepare_training_data(rc: RunConfig):
-    """Load, combine, and standardize the training file.
-
-    Returns (raw dataset, model-ready dataset, subsets or None, NormStats).
-    """
-    raw = load_csv(rc.dataset, rc.label_column)
-    work, subsets = _combine(raw, rc.combination)
-    stats = zscore_fit(work)
-    return raw, zscore_apply(work, stats), subsets, stats
-
-
 def _build_model(rc: RunConfig, input_dim: int, n_classes: int):
     rc.model.seed = rc.seed
     if rc.kind == KIND_TCN:
@@ -194,7 +160,7 @@ def cmd_transform(args) -> int:
         approach=normalize_approach(args.approach),
         augment_original=args.augment_original,
     )
-    out, _ = _combine(ds, spec)
+    out, _ = combine(ds, spec)
     save_csv(out, args.output)
     return 0
 
@@ -208,7 +174,7 @@ def cmd_train(args) -> int:
     rc.train.seed = rc.seed
 
     start = time.perf_counter()
-    raw, prepared, subsets, stats = _prepare_training_data(rc)
+    pipeline, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
     model = _build_model(rc, prepared.n_features, prepared.n_classes)
     model, history = train_loop(model, prepared, rc.train)
     train_metrics = evaluate(model, prepared)
@@ -233,48 +199,21 @@ def cmd_train(args) -> int:
         "rng_algorithm": RNG_ALGORITHM,
     }
 
+    results_text = json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    ckpt = Checkpoint(**vars(pipeline), model=model, config=rc.model, seed=rc.seed)
+
     os.makedirs(rc.output_dir, exist_ok=True)
-    ckpt = Checkpoint(
-        model=model, config=rc.model, combination=rc.combination, subsets=subsets,
-        norm_mean=stats.mean, norm_std=stats.std,
-        feature_names=raw.feature_names, class_names=raw.class_names,
-        label_column=raw.label_name, seed=rc.seed,
-    )
     save_checkpoint(os.path.join(rc.output_dir, "checkpoint.json"), ckpt)
     with open(os.path.join(rc.output_dir, "results.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(final_metrics, sort_keys=True))
+        fh.write(results_text)
+    print(json.dumps(final_metrics, sort_keys=True, allow_nan=False))
     return 0
 
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    ds = load_csv(args.input, ckpt.label_column)
-
-    missing = [n for n in ckpt.feature_names if n not in ds.feature_names]
-    extra = [n for n in ds.feature_names if n not in ckpt.feature_names]
-    if missing or extra:
-        raise DataError(
-            f"feature columns do not match checkpoint: missing {missing}, extra {extra}"
-        )
-    order = [ds.feature_names.index(n) for n in ckpt.feature_names]
-
-    class_index = {name: i for i, name in enumerate(ckpt.class_names)}
-    unknown = sorted(set(ds.class_names) - set(class_index))
-    if unknown:
-        raise DataError(f"labels not present at training time: {unknown}")
-    labels = np.array([class_index[ds.class_names[v]] for v in ds.labels], dtype=np.int64)
-
-    raw = Dataset(ds.features[:, order], labels, ckpt.class_names, ckpt.feature_names,
-                  label_name=ckpt.label_column)
-    work, _ = _combine(raw, ckpt.combination)
-    if ckpt.norm_mean is not None:
-        if not len(ckpt.norm_mean) == len(ckpt.norm_std) == work.n_features:
-            raise DataError(f"checkpoint normalization stats have {len(ckpt.norm_mean)} means "
-                            f"and {len(ckpt.norm_std)} stds for {work.n_features} features")
-        work = zscore_apply(work, NormStats(ckpt.norm_mean, ckpt.norm_std))
-    result = evaluate(ckpt.model, work)
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    result = evaluate(ckpt.model, ckpt.apply(load_csv(args.input, ckpt.label_column)))
+    print(json.dumps(result.to_dict(), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -282,7 +221,7 @@ def cmd_gradcheck(args) -> int:
     rc = load_run_config(args.config)
     if args.seed is not None:
         rc.seed = args.seed
-    _, prepared, _, _ = _prepare_training_data(rc)
+    _, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
     model = _build_model(rc, prepared.n_features, prepared.n_classes)
     batch, labels = find_check_batch(model, prepared.features, prepared.labels)
     overall, per_kind = grad_check_report(model, batch, labels,

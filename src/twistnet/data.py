@@ -1,6 +1,6 @@
-"""Dataset ingestion, normalization, splitting, and synthetic task generators.
+"""Dataset ingestion, preprocessing, splitting, and synthetic task generators.
 
-CSV handling is deliberately plain: UTF-8, comma-separated, optional header,
+CSV handling is deliberately plain: UTF-8, comma-separated, a header row,
 decimal floats, no quoting or escaping. Labels are encoded by first
 appearance so the mapping is auditable and survives checkpointing.
 """
@@ -12,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import DataError, ParseError, SchemaError
+from .featcomb import (
+    CombinationSpec,
+    combined_feature_names,
+    enumerate_subsets,
+    transform_dataset,
+)
 from .ndcore import Rng
 
 ZSCORE_STD_FLOOR = 1e-12  # below this a feature counts as constant; std sentinel 1
@@ -64,11 +70,12 @@ class Dataset:
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
-def load_csv(path, label_column, has_header: bool = True) -> Dataset:
-    """Read a plain CSV into a Dataset.
+def load_csv(path, label_column) -> Dataset:
+    """Read a plain CSV, whose first row is the header, into a Dataset.
 
-    ``label_column`` is a header name (requires ``has_header``) or a
-    zero-based column index. Label strings are encoded by first appearance.
+    ``label_column`` is a header name or a zero-based column index; a string
+    that names a header column is that column, even when it is all digits.
+    Label strings are encoded by first appearance.
     """
     path = Path(path)
     if not path.exists():
@@ -82,28 +89,22 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         if len(row) != width:
             raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {width}")
 
-    if has_header:
-        header = [h.strip() for h in cells[0]]
-        rows = cells[1:]
-    else:
-        header = [f"f{i}" for i in range(width)]
-        rows = cells
+    header = [h.strip() for h in cells[0]]
+    rows = cells[1:]
     if len(set(header)) < width:
         repeated = next(h for i, h in enumerate(header) if h in header[:i])
         raise SchemaError(f"{path}: header repeats column {repeated!r}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 
-    if isinstance(label_column, int) or (isinstance(label_column, str) and label_column.lstrip("-").isdigit()):
+    if isinstance(label_column, str) and label_column in header:
+        label_idx = header.index(label_column)
+    elif isinstance(label_column, int) or label_column.lstrip("-").isdigit():
         label_idx = int(label_column)
         if not 0 <= label_idx < width:
             raise SchemaError(f"label column index {label_idx} out of range for {width} columns")
     else:
-        if not has_header:
-            raise SchemaError("label column by name requires a header row")
-        if label_column not in header:
-            raise SchemaError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
+        raise SchemaError(f"label column {label_column!r} not found in header {header}")
     label_name = header[label_idx]
 
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
@@ -124,9 +125,8 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
                 try:
                     features[r, c_out] = float(cell)
                 except ValueError:
-                    row_no = r + (2 if has_header else 1)
                     raise ParseError(
-                        f"{path}: cannot parse cell {cell!r} at row {row_no}, "
+                        f"{path}: cannot parse cell {cell!r} at row {r + 2}, "
                         f"column {feature_names[c_out]!r} as a float"
                     ) from None
                 c_out += 1
@@ -135,7 +135,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         r, c = bad[0]
         cell = rows[r][c + (c >= label_idx)]
         raise ParseError(
-            f"{path}: non-finite cell {cell!r} at row {r + (2 if has_header else 1)}, "
+            f"{path}: non-finite cell {cell!r} at row {r + 2}, "
             f"column {feature_names[c]!r}"
         )
     return Dataset(features, labels, class_names, feature_names, label_name=label_name)
@@ -162,6 +162,96 @@ def zscore_fit(train: Dataset) -> NormStats:
 def zscore_apply(ds: Dataset, stats: NormStats) -> Dataset:
     normed = (ds.features - stats.mean) / stats.std
     return replace(ds, features=normed, norm_stats=stats)
+
+
+def combine(ds: Dataset, spec: CombinationSpec | None):
+    """Expand ``ds`` over every m-subset of its features and name the new
+    columns. Returns (combined dataset, subsets); without a spec, ``ds``
+    passes through unchanged with subsets None. DataError naming the row and
+    the column if a combined value is not finite."""
+    if spec is None:
+        return ds, None
+    combined = transform_dataset(ds.features, spec)
+    names = combined_feature_names(combined.subsets, spec, ds.feature_names)
+    if not np.isfinite(combined.values).all():
+        r, c = np.argwhere(~np.isfinite(combined.values))[0]
+        raise DataError(f"combined column {names[c]!r} overflows at data row {r + 1}")
+    return replace(ds, features=combined.values, feature_names=names), combined.subsets
+
+
+@dataclass
+class Pipeline:
+    """The steps from a raw CSV to model input, as fitted on a training file:
+    its feature and class order, its label column, the feature combination
+    with its subsets (None when not recorded), and the z-score stats of the
+    combined columns (None: no z-scoring)."""
+
+    feature_names: list[str]
+    class_names: list[str]
+    label_column: str
+    combination: CombinationSpec | None
+    subsets: list[tuple[int, ...]] | None
+    norm_mean: np.ndarray | None
+    norm_std: np.ndarray | None
+
+    @staticmethod
+    def fit(raw: Dataset, spec: CombinationSpec | None) -> tuple["Pipeline", Dataset]:
+        """Fit on ``raw``; returns the checked pipeline and the model-ready dataset."""
+        work, subsets = combine(raw, spec)
+        stats = zscore_fit(work)
+        pipeline = Pipeline(raw.feature_names, raw.class_names, raw.label_name, spec,
+                            subsets, stats.mean, stats.std)
+        pipeline.check()
+        return pipeline, zscore_apply(work, stats)
+
+    def apply(self, ds: Dataset) -> Dataset:
+        """Model input from ``ds``: its columns matched to the fitted ones by
+        name, its labels mapped to the fitted classes, then combined and
+        z-scored. DataError on a missing or extra column or an unknown label."""
+        missing = [n for n in self.feature_names if n not in ds.feature_names]
+        extra = [n for n in ds.feature_names if n not in self.feature_names]
+        if missing or extra:
+            raise DataError(f"feature columns do not match training: missing {missing}, "
+                            f"extra {extra}")
+        order = [ds.feature_names.index(n) for n in self.feature_names]
+        class_index = {name: i for i, name in enumerate(self.class_names)}
+        unknown = sorted(set(ds.class_names) - set(class_index))
+        if unknown:
+            raise DataError(f"labels not present at training time: {unknown}")
+        labels = [class_index[ds.class_names[v]] for v in ds.labels]
+        work, _ = combine(Dataset(ds.features[:, order], labels, self.class_names,
+                                  self.feature_names, label_name=self.label_column),
+                          self.combination)
+        if self.norm_mean is None:
+            return work
+        return zscore_apply(work, NormStats(self.norm_mean, self.norm_std))
+
+    def check(self) -> None:
+        """DataError unless the combination is valid for the features, the
+        recorded subsets are the ones it makes, and the stats hold one finite
+        mean and one finite std above 0 per combined column."""
+        n, spec, names = len(self.feature_names), self.combination, self.feature_names
+        if spec is not None:
+            try:
+                spec.validate()
+                made = enumerate_subsets(n, spec.m, spec.max_combined)
+            except ValueError as exc:
+                raise DataError(f"'combination': {exc}") from None
+            names = combined_feature_names(made, spec, names)
+        if self.subsets is not None and (spec is None or self.subsets != made):
+            raise DataError(f"'subsets' are not the m-subsets of {n} features "
+                            f"that 'combination' makes")
+        if self.norm_mean is None:
+            return
+        if not len(self.norm_mean) == len(self.norm_std) == len(names):
+            raise DataError(f"normalization stats have {len(self.norm_mean)} means and "
+                            f"{len(self.norm_std)} stds for {len(names)} combined columns")
+        for key, values, floor in (("mean", self.norm_mean, -np.inf),
+                                   ("std", self.norm_std, 0.0)):
+            bad = np.flatnonzero(~((values > floor) & (values < np.inf)))
+            if bad.size:
+                raise DataError(f"normalization stats: {key!r} of column {names[bad[0]]!r} "
+                                f"is {values[bad[0]]}, not a finite number above {floor}")
 
 
 def stratified_split(ds: Dataset, fractions, rng: Rng) -> tuple[Dataset, Dataset, Dataset]:

@@ -10,6 +10,7 @@ the class count, finished by softmax cross-entropy.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import layers as L
 from .errors import DataError, SchemaError, ShapeError, StateError, check_exact, schema_of
-from .featcomb import CombinationSpec, enumerate_subsets
+from .data import Pipeline
+from .featcomb import CombinationSpec
 from .ndcore import RNG_ALGORITHM, Rng
 
 KIND_TCN = "tcn"
@@ -188,18 +190,11 @@ def predict(model: ModelGraph, batch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Checkpoint:
-    """Everything needed to rebuild the inference pipeline from JSON."""
+class Checkpoint(Pipeline):
+    """A fitted pipeline and the model it feeds: everything ``eval`` needs."""
 
     model: ModelGraph
     config: ModelConfig
-    combination: CombinationSpec | None
-    subsets: list[tuple[int, ...]] | None
-    norm_mean: np.ndarray | None
-    norm_std: np.ndarray | None
-    feature_names: list[str]
-    class_names: list[str]
-    label_column: str
     seed: int
 
 
@@ -222,7 +217,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "class_names": ckpt.class_names,
         "label_column": ckpt.label_column,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -241,38 +236,32 @@ def load_checkpoint(path) -> Checkpoint:
         raise SchemaError(f"checkpoint 'n_classes' is {n_classes}, but 'class_names' "
                           f"lists {len(class_names)}")
     check_exact(doc["config"], schema_of(ModelConfig), "checkpoint 'config'")
-    comb, n_features = doc["combination"], len(doc["feature_names"])
+    comb, subsets, stats = doc["combination"], doc["subsets"], doc["normalization_stats"]
     if comb is not None:
         check_exact(comb, schema_of(CombinationSpec), "checkpoint 'combination'")
-        comb = CombinationSpec(**comb)
-        try:
-            comb.validate()
-        except ValueError as exc:
-            raise SchemaError(f"checkpoint 'combination': {exc}") from None
-        if comb.m > n_features:
-            raise SchemaError(f"checkpoint 'combination' has m={comb.m} for {n_features} features")
-    subsets = doc["subsets"]
-    if subsets is not None:
-        made = enumerate_subsets(n_features, comb.m, comb.max_combined) if comb else None
-        if made is None or subsets != [list(s) for s in made]:
-            raise SchemaError(f"checkpoint 'subsets' are not the m-subsets of {n_features} "
-                              f"features that 'combination' makes")
-        subsets = made
-    stats = doc["normalization_stats"]
     if stats is not None:
         check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
-        for key, floor in (("mean", -np.inf), ("std", 0.0)):
-            if not all(type(v) in (int, float) and floor < v < np.inf for v in stats[key]):
-                raise SchemaError(f"checkpoint 'normalization_stats': {key!r} must list "
-                                  f"finite numbers above {floor}")
     if not all(isinstance(e, dict) for e in doc["layers"]):
         raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
     stack = [L.layer_from_entry(e) for e in doc["layers"]]
-    return Checkpoint(
+
+    def numbers(values):  # NaN for a non-number or an int past float range; check() names it
+        return np.array([v if type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+                         else np.nan for v in values], float)
+
+    ckpt = Checkpoint(
         model=ModelGraph(doc["kind"], doc["input_dim"], n_classes, stack),
-        config=ModelConfig(**doc["config"]), combination=comb, subsets=subsets,
-        norm_mean=np.array(stats["mean"], dtype=np.float64) if stats else None,
-        norm_std=np.array(stats["std"], dtype=np.float64) if stats else None,
+        config=ModelConfig(**doc["config"]),
+        combination=CombinationSpec(**comb) if comb is not None else None,
+        subsets=None if subsets is None else [tuple(s) if isinstance(s, list) else s
+                                              for s in subsets],
+        norm_mean=numbers(stats["mean"]) if stats else None,
+        norm_std=numbers(stats["std"]) if stats else None,
         feature_names=list(doc["feature_names"]), class_names=list(class_names),
         label_column=doc["label_column"], seed=doc["seed"],
     )
+    try:
+        ckpt.check()
+    except DataError as exc:
+        raise SchemaError(f"checkpoint {path}: {exc}") from None
+    return ckpt

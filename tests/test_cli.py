@@ -158,6 +158,29 @@ def test_transform_missing_input(tmp_path, capsys):
     assert code == 2
 
 
+def with_cells(tmp_path, train_csv, cells, name):
+    """train_csv with the given {(data row, column): text} cells replaced;
+    data rows count from 1, below the header."""
+    lines = train_csv.read_text().splitlines()
+    for (row, col), text in cells.items():
+        parts = lines[row].split(",")
+        parts[col] = text
+        lines[row] = ",".join(parts)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_transform_overflow_exits_2_and_writes_nothing(tmp_path, train_csv, capsys):
+    big_csv = with_cells(tmp_path, train_csv, {(3, 0): "1e200", (3, 2): "1e200"}, "big.csv")
+    out = tmp_path / "never.csv"
+    assert main(["transform", "--input", str(big_csv), "--output", str(out),
+                 "--label-column", "label"]) == 2
+    err = capsys.readouterr().err
+    assert "'comb_0_2'" in err and "data row 3" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -463,9 +486,11 @@ def setting(value, *keys):
     return edit
 
 
-# a number literal that Python's json reads as inf but never writes; an edit
-# stores it as a string, and the test unquotes it in the written text
+# number literals that Python's json reads but never writes: one it reads as
+# inf, and an int past the float range; an edit stores one as a string, and
+# the test unquotes it in the written text
 OVERFLOW = "1e999"
+HUGE_INT = "1" + "0" * 400
 
 # edits of a trained tcn checkpoint (layers: dense, residual, batchnorm, relu,
 # dropout, dense, dense), each with a word its error message must name
@@ -513,6 +538,7 @@ MALFORMED_CHECKPOINTS = {
     "stats_std_1e999": (setting(OVERFLOW, "normalization_stats", "std", 0), "'std'"),
     "stats_mean_nan": (setting(math.nan, "normalization_stats", "mean", 0), "'mean'"),
     "stats_mean_infinity": (setting(-math.inf, "normalization_stats", "mean", 2), "'mean'"),
+    "stats_mean_huge_int": (setting(HUGE_INT, "normalization_stats", "mean", 1), "'mean'"),
 }
 
 
@@ -523,11 +549,93 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, train_csv, capsys, case):
     edit, named = MALFORMED_CHECKPOINTS[case]
     edit(doc)
     broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW), encoding="utf-8")
+    text = json.dumps(doc)
+    for literal in (OVERFLOW, HUGE_INT):
+        text = text.replace(f'"{literal}"', literal)
+    broken.write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(broken), "--input", str(train_csv)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and named in err
+
+
+@pytest.mark.parametrize("cells, extra, named", [
+    # one 1e200 cell: the combined values stay finite, their z-score std does not
+    ({(2, 1): "1e200"}, {}, "'std' of column 'comb_0_1'"),
+    ({(2, 1): "1e200"}, {"combination": None}, "'std' of column 'x1'"),
+    # two in one row: a combined value overflows
+    ({(2, 1): "1e200", (2, 3): "1e200"}, {}, "'comb_1_3' overflows at data row 2"),
+])
+def test_train_data_overflow_exits_2_and_writes_nothing(tmp_path, train_csv, capsys,
+                                                        cells, extra, named):
+    big_csv = with_cells(tmp_path, train_csv, cells, "big.csv")
+    code, outdir = run_train(tmp_path, big_csv, "overflow", extra=extra)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert named in err and "learning_rate" not in err
+
+
+def test_label_column_matches_a_header_name_first(tmp_path, train_csv, capsys):
+    # label_column 4 is the index of a column named "7"; the checkpoint
+    # records the name, and eval must read "7" as that name, not as index 7
+    lines = train_csv.read_text().splitlines()
+    lines[0] = lines[0].replace("label", "7")
+    odd_csv = tmp_path / "odd.csv"
+    odd_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, outdir = run_train(tmp_path, odd_csv, "odd", extra={"label_column": 4})
+    assert code == 0
+    fm = json.loads((outdir / "results.json").read_text())["final_metrics"]
+    assert json.loads((outdir / "checkpoint.json").read_text())["label_column"] == "7"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(outdir / "checkpoint.json"),
+                 "--input", str(odd_csv)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["accuracy"], report["mean_loss"]) == (fm["train_accuracy"], fm["train_loss"])
+
+
+def generated_csv(path, kind, seed):
+    """A 40-row, 4-feature CSV: ordinary, or with three cells of 1e150-1e300
+    in magnitude, or with three cells of 1e-300, or with one constant column."""
+    rng = np.random.default_rng(seed)
+    ds = synth_interaction(40, 4, PRODUCT_SIGN, 0.1, Rng(seed))
+    x = ds.features.copy()
+    cells = rng.choice(x.size, 3, replace=False)
+    if kind == "huge":
+        x.flat[cells] = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(150, 300, 3)
+    elif kind == "tiny":
+        x.flat[cells] = 1e-300
+    elif kind == "constant":
+        x[:, rng.integers(4)] = rng.normal()
+    save_csv(Dataset(x, ds.labels, ds.class_names, ds.feature_names), path)
+
+
+@pytest.mark.parametrize("kind", ["ordinary", "huge", "tiny", "constant"])
+def test_train_refuses_or_eval_reproduces(tmp_path, capsys, kind):
+    # whatever the data, train either refuses it (exit 2 or 3) and writes
+    # nothing, or writes a checkpoint that eval reads back to the training
+    # metrics exactly
+    refused = 0
+    for seed in range(3):
+        csv = tmp_path / f"{kind}{seed}.csv"
+        generated_csv(csv, kind, seed)
+        for variant, extra in RUN_VARIANTS.items():
+            code, outdir = run_train(tmp_path, csv, f"{kind}{seed}_{variant}",
+                                     extra={**extra, "train": {"max_epochs": 3}})
+            if code in (2, 3):
+                assert not outdir.exists(), (seed, variant)
+                refused += 1
+                continue
+            assert code == 0, (seed, variant, capsys.readouterr().err)
+            fm = json.loads((outdir / "results.json").read_text())["final_metrics"]
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(outdir / "checkpoint.json"),
+                         "--input", str(csv)]) == 0, (seed, variant)
+            report = json.loads(capsys.readouterr().out)
+            assert report["accuracy"] == fm["train_accuracy"], (seed, variant)
+            assert report["mean_loss"] == fm["train_loss"], (seed, variant)
+    # only cells past the float range's square root make a run refuse
+    assert (refused > 0) == (kind == "huge")
 
 
 def test_train_diverged_run_exits_1(tmp_path, train_csv, capsys):

@@ -1,5 +1,7 @@
 """CSV ingestion, normalization, stratified splitting, synthetic tasks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from twistnet.data import (
     THREE_WAY_PRODUCT_SIGN,
     Dataset,
     NormStats,
+    Pipeline,
     load_csv,
     save_csv,
     stratified_split,
@@ -15,7 +18,8 @@ from twistnet.data import (
     zscore_apply,
     zscore_fit,
 )
-from twistnet.errors import ParseError, SchemaError
+from twistnet.errors import DataError, ParseError, SchemaError
+from twistnet.featcomb import PAIRWISE_SUM, CombinationSpec
 from twistnet.ndcore import Rng
 
 
@@ -74,12 +78,13 @@ def test_load_csv_label_by_index(tmp_path):
     assert load_csv(p, "1").labels.tolist() == ds.labels.tolist()
 
 
-def test_load_csv_headerless(tmp_path):
-    p = write(tmp_path, "1.0,2.0,yes\n3.0,4.0,no\n", name="plain.csv")
-    ds = load_csv(p, 2, has_header=False)
-    assert ds.feature_names == ["f0", "f1"]
-    assert ds.label_name == "f2"
-    assert ds.class_names == ["yes", "no"]
+def test_load_csv_label_name_before_index(tmp_path):
+    p = write(tmp_path, "a,b,7,c\n1,2,x,3\n4,5,y,6\n")
+    by_index = load_csv(p, 2)
+    assert by_index.label_name == "7"
+    assert load_csv(p, "7").labels.tolist() == by_index.labels.tolist()
+    # a digit string that names no column is still an index
+    assert load_csv(p, "2").label_name == "7"
 
 
 def test_load_csv_parse_error_names_row_and_column(tmp_path):
@@ -111,9 +116,6 @@ def test_load_csv_schema_errors(tmp_path):
         load_csv(p, "klass")
     with pytest.raises(SchemaError):
         load_csv(p, 5)
-    q = write(tmp_path, "1.0,2.0,pos\n", name="nohdr.csv")
-    with pytest.raises(SchemaError):
-        load_csv(q, "label", has_header=False)
     empty = write(tmp_path, "", name="empty.csv")
     with pytest.raises(SchemaError):
         load_csv(empty, "label")
@@ -185,6 +187,43 @@ def test_zscore_population_std():
     ds = Dataset(np.array([[0.0], [2.0], [4.0]]), np.zeros(3, dtype=int), ["c"], ["x"])
     stats = zscore_fit(ds)
     assert abs(stats.std[0] - np.sqrt(8.0 / 3.0)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the preprocessing pipeline
+# ---------------------------------------------------------------------------
+
+PIPELINE_SPECS = [None, CombinationSpec(m=2),
+                  CombinationSpec(m=3, approach=PAIRWISE_SUM, augment_original=True,
+                                  append_global_interaction=True)]
+
+
+@pytest.mark.parametrize("spec", PIPELINE_SPECS)
+def test_pipeline_apply_reproduces_fit(spec):
+    raw = synth_interaction(30, 4, PRODUCT_SIGN, 0.1, Rng(0))
+    pipeline, prepared = Pipeline.fit(raw, spec)
+    again = pipeline.apply(raw)
+    assert np.array_equal(again.features, prepared.features)
+    assert again.feature_names == prepared.feature_names
+    assert np.array_equal(again.labels, raw.labels)
+
+
+def test_pipeline_check_names_the_problem():
+    raw = synth_interaction(30, 4, PRODUCT_SIGN, 0.1, Rng(0))
+    pipeline, _ = Pipeline.fit(raw, CombinationSpec(m=2))
+    replace(pipeline, subsets=None).check()  # subsets need not be recorded
+    std = pipeline.norm_std.copy()
+    std[2] = np.inf
+    for bad, named in [
+        (replace(pipeline, norm_mean=pipeline.norm_mean[:5]), "5 means"),
+        (replace(pipeline, norm_std=std), "'comb_0_3'"),
+        (replace(pipeline, norm_std=-pipeline.norm_std), "'std'"),
+        (replace(pipeline, subsets=pipeline.subsets[::-1]), "'subsets'"),
+        (replace(pipeline, combination=CombinationSpec(m=5), subsets=None), "m=5"),
+        (replace(pipeline, combination=None), "'subsets'"),
+    ]:
+        with pytest.raises(DataError, match=named):
+            bad.check()
 
 
 # ---------------------------------------------------------------------------

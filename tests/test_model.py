@@ -318,8 +318,8 @@ def make_checkpoint(tmp_path):
         config=ModelConfig(hidden1=4, hidden2=3, seed=7),
         combination=comb,
         subsets=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-        norm_mean=np.array([0.5, -0.5, 0.0, 1.0]),
-        norm_std=np.array([1.0, 2.0, 0.5, 1.5]),
+        norm_mean=np.array([0.5, -0.5, 0.0, 1.0, 0.25, -1.0]),
+        norm_std=np.array([1.0, 2.0, 0.5, 1.5, 0.75, 3.0]),
         feature_names=["x0", "x1", "x2", "x3"],
         class_names=["neg", "pos"],
         label_column="label",
@@ -369,3 +369,11 @@ def test_checkpoint_double_roundtrip_identical_bytes(tmp_path):
     path2 = tmp_path / "again.ckpt.json"
     save_checkpoint(path2, back)
     assert path2.read_text() == path.read_text()
+
+
+def test_save_checkpoint_writes_only_strict_json(tmp_path):
+    ckpt, _ = make_checkpoint(tmp_path)
+    ckpt.norm_std[0] = np.inf
+    with pytest.raises(ValueError):
+        save_checkpoint(tmp_path / "never.json", ckpt)
+    assert not (tmp_path / "never.json").exists()
