@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""A tour of the feature-combination operators on small vectors."""
+"""A tour of the feature-combination operators on small batches."""
 
 import numpy as np
 
 from twistnet.featcomb import (
+    MULTIPLICATIVE,
+    PAIRWISE_SUM,
     CombinationSpec,
-    combine_multiplicative,
-    combine_pairwise_sum,
     combined_feature_names,
     enumerate_subsets,
-    global_interaction,
     transform_dataset,
 )
 
@@ -17,36 +16,35 @@ from twistnet.featcomb import (
 subsets = enumerate_subsets(4, 2)
 print("2-subsets of 4 features:", subsets)
 
+
+def combine(X, m, approach):
+    return transform_dataset(X, CombinationSpec(m=m, approach=approach)).values
+
+
 # The multiplicative operator collapses each subset to the product of its
-# members, so [1, 2, 3, 4] with m=2 gives every pairwise product.
-x = np.array([1.0, 2.0, 3.0, 4.0])
-print("multiplicative m=2:", combine_multiplicative(x, subsets))
+# members, so the row [1, 2, 3, 4] with m=2 gives every pairwise product.
+x = np.array([[1.0, 2.0, 3.0, 4.0]])
+print("multiplicative m=2:", combine(x, 2, MULTIPLICATIVE)[0])
 
 # The pairwise-sum operator adds the products of all pairs inside a subset.
 # For a 3-subset {A, B, C} that is AB + AC + BC.
-triples = enumerate_subsets(4, 3)
-print("pairwise_sum m=3:  ", combine_pairwise_sum(x, triples))
+print("pairwise_sum m=3:  ", combine(x, 3, PAIRWISE_SUM)[0])
 
 # With m=2 a subset holds exactly one pair, so the two operators coincide.
-pair_mult = combine_multiplicative(x, subsets)
-pair_sum = combine_pairwise_sum(x, subsets)
+pair_mult = combine(x, 2, MULTIPLICATIVE)
+pair_sum = combine(x, 2, PAIRWISE_SUM)
 print("m=2 coincidence, max difference:", np.max(np.abs(pair_mult - pair_sum)))
 
 # Over the full feature set the pairwise sum has a closed form:
 # sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2) / 2.
-full = combine_pairwise_sum(x, [tuple(range(4))])[0]
+full = combine(x, 4, PAIRWISE_SUM)[0, 0]
 closed = (x.sum() ** 2 - (x**2).sum()) / 2.0
 print(f"full-set pairwise {full} vs closed form {closed}")
 
-# The global interaction is that same quantity squeezed through an
-# activation; a negative pair sum dies under relu.
-print("global interaction of [1, -2, 0.5], relu:",
-      global_interaction([1.0, -2.0, 0.5], "relu"))
-
-# Batches go through transform_dataset, which also hands back the subsets
-# and can append the untouched originals.
+# transform_dataset also hands back the subsets, and can append the untouched
+# originals and that full-set pair sum as an "interaction" column.
 X = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
-spec = CombinationSpec(m=2, augment_original=True)
+spec = CombinationSpec(m=2, augment_original=True, append_global_interaction=True)
 out = transform_dataset(X, spec)
 names = combined_feature_names(out.subsets, spec, ["a", "b", "c"])
 print("columns:", names)
@@ -55,6 +53,6 @@ print(out.values)
 # Reordering input features permutes the combined columns but the multiset
 # of values is untouched; sorted rows are identical.
 perm = [2, 0, 1]
-base = np.sort(transform_dataset(X, CombinationSpec(m=2)).values, axis=1)
-moved = np.sort(transform_dataset(X[:, perm], CombinationSpec(m=2)).values, axis=1)
+base = np.sort(combine(X, 2, MULTIPLICATIVE), axis=1)
+moved = np.sort(combine(X[:, perm], 2, MULTIPLICATIVE), axis=1)
 print("permutation invariance, max difference:", np.max(np.abs(base - moved)))

@@ -37,11 +37,8 @@ from .featcomb import (
     CombinationSpec,
     CombinedFeatures,
     combine_backward,
-    combine_multiplicative,
-    combine_pairwise_sum,
     combined_feature_names,
     enumerate_subsets,
-    global_interaction,
     transform_dataset,
 )
 from .layers import (

@@ -92,9 +92,10 @@ def normalize_approach(token: str) -> str:
     return _APPROACH_TOKENS[token]
 
 
-def parse_run_config(doc) -> RunConfig:
+def parse_run_config(doc, seed: int | None = None) -> RunConfig:
     """Validate a run-config JSON document. Unknown keys are errors, never
-    warnings, and every offending key is reported in one pass."""
+    warnings, and every offending key is reported in one pass. A ``seed``
+    overrides the document's."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     problems: list[str] = []
@@ -118,7 +119,7 @@ def parse_run_config(doc) -> RunConfig:
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
-    seed = top.get("seed", 0)
+    seed = top.get("seed", 0) if seed is None else seed
     return RunConfig(
         dataset=top["dataset"],
         label_column=top["label_column"],
@@ -131,7 +132,7 @@ def parse_run_config(doc) -> RunConfig:
     )
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path, seed: int | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -139,11 +140,10 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return parse_run_config(doc)
+    return parse_run_config(doc, seed)
 
 
 def _build_model(rc: RunConfig, input_dim: int, n_classes: int):
-    rc.model.seed = rc.seed
     if rc.kind == KIND_TCN:
         return build_tcn(input_dim, n_classes, rc.model)
     return build_baseline(rc.kind, input_dim, n_classes, rc.model)
@@ -166,12 +166,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rc = load_run_config(args.config)
-    if args.seed is not None:
-        rc.seed = args.seed
+    rc = load_run_config(args.config, args.seed)
     if args.output is not None:
         rc.output_dir = args.output
-    rc.train.seed = rc.seed
 
     start = time.perf_counter()
     pipeline, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
@@ -218,9 +215,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rc = load_run_config(args.config)
-    if args.seed is not None:
-        rc.seed = args.seed
+    rc = load_run_config(args.config, args.seed)
     _, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
     model = _build_model(rc, prepared.n_features, prepared.n_classes)
     batch, labels = find_check_batch(model, prepared.features, prepared.labels)

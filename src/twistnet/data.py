@@ -171,7 +171,8 @@ def combine(ds: Dataset, spec: CombinationSpec | None):
     the column if a combined value is not finite."""
     if spec is None:
         return ds, None
-    combined = transform_dataset(ds.features, spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked and named below
+        combined = transform_dataset(ds.features, spec)
     names = combined_feature_names(combined.subsets, spec, ds.feature_names)
     if not np.isfinite(combined.values).all():
         r, c = np.argwhere(~np.isfinite(combined.values))[0]
@@ -198,7 +199,8 @@ class Pipeline:
     def fit(raw: Dataset, spec: CombinationSpec | None) -> tuple["Pipeline", Dataset]:
         """Fit on ``raw``; returns the checked pipeline and the model-ready dataset."""
         work, subsets = combine(raw, spec)
-        stats = zscore_fit(work)
+        with np.errstate(over="ignore", invalid="ignore"):  # check() names the column
+            stats = zscore_fit(work)
         pipeline = Pipeline(raw.feature_names, raw.class_names, raw.label_name, spec,
                             subsets, stats.mean, stats.std)
         pipeline.check()

@@ -1,6 +1,6 @@
 """Combinatorial feature combination.
 
-Given an input vector of n features and a subset size m, every m-subset is
+Given a row of n features and a subset size m, every m-subset is
 enumerated in lexicographic order and collapsed to a single combined value:
 
 * multiplicative:   z_k = prod of the subset's features
@@ -9,8 +9,9 @@ enumerated in lexicographic order and collapsed to a single combined value:
 
 Both operators are symmetric in the subset members, so reordering the input
 features permutes the combined columns but never changes their multiset.
-A separate global interaction reduces the whole vector to one scalar,
-f(sum over all i<j of x_i*x_j).
+:func:`transform_dataset` applies one of them to every row of a batch, and
+can append the original features and a global interaction column, the sum
+over all i<j of x_i*x_j.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapacityError, ShapeError
-from .ndcore import as_matrix, check_finite
 
 MULTIPLICATIVE = "multiplicative"
 PAIRWISE_SUM = "pairwise_sum"
@@ -71,35 +71,19 @@ def enumerate_subsets(n: int, m: int, max_combined: int = 100000) -> list[tuple[
 
 
 def _combine_rows(x: np.ndarray, subsets, approach: str) -> np.ndarray:
-    """Apply one combiner to every row of a 2-D block."""
+    """Apply one combiner to every row of a 2-D block; the caller has
+    validated ``approach``."""
     out = np.empty((x.shape[0], len(subsets)))
     if approach == MULTIPLICATIVE:
         for k, s in enumerate(subsets):
             out[:, k] = np.prod(x[:, list(s)], axis=1)
-    elif approach == PAIRWISE_SUM:
+    else:
         for k, s in enumerate(subsets):
             acc = np.zeros(x.shape[0])
             for a, b in combinations(s, 2):
                 acc += x[:, a] * x[:, b]
             out[:, k] = acc
-    else:
-        raise ValueError(f"unknown approach {approach!r}")
     return out
-
-
-def combine_multiplicative(x, subsets) -> np.ndarray:
-    """z_k = product of x over subset k."""
-    x = np.asarray(x, dtype=np.float64)
-    return _combine_rows(x.reshape(1, -1), subsets, MULTIPLICATIVE)[0]
-
-
-def combine_pairwise_sum(x, subsets) -> np.ndarray:
-    """z_k = sum of x_i*x_j over pairs i<j inside subset k."""
-    x = np.asarray(x, dtype=np.float64)
-    for s in subsets:
-        if len(s) < 2:
-            raise ValueError("pairwise_sum needs subsets of size >= 2")
-    return _combine_rows(x.reshape(1, -1), subsets, PAIRWISE_SUM)[0]
 
 
 def combine_backward(x, subsets, approach: str, upstream) -> np.ndarray:
@@ -138,23 +122,15 @@ def _global_pair_sum_rows(x: np.ndarray) -> np.ndarray:
     return np.sum(x[:, 1:] * prefix[:, :-1], axis=1)
 
 
-def global_interaction(x, activation: str = "identity") -> float:
-    """Whole-vector pair interaction: f(sum over all i<j of x_i*x_j)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < 2:
-        raise ValueError(f"global interaction needs at least 2 features, got {x.size}")
-    s = float(_global_pair_sum_rows(x.reshape(1, -1))[0])
-    if activation == "identity":
-        return s
-    if activation == "relu":
-        return max(0.0, s)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def transform_dataset(X, spec: CombinationSpec) -> CombinedFeatures:
     """Expand a batch row-wise: combined columns, then originals, then the
-    global-interaction column, honoring the flags on ``spec``."""
-    X = check_finite(as_matrix(X, "features"), "features")
+    global-interaction column, honoring the flags on ``spec``. ShapeError
+    unless ``X`` is 2-D, ValueError if an entry is not finite."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"features must be 2-D, got ndim={X.ndim}")
+    if not np.isfinite(X).all():
+        raise ValueError("features contain non-finite entries")
     spec.validate()
     subsets = enumerate_subsets(X.shape[1], spec.m, spec.max_combined)
     blocks = [_combine_rows(X, subsets, spec.approach)]

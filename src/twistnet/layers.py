@@ -171,9 +171,10 @@ class BatchNorm(Layer):
     """Per-column normalization with learned scale and shift.
 
     Training batches are normalized by their own mean and biased variance,
-    and the running statistics move by ``momentum``. Inference (and any
-    caller that cannot form batch statistics) normalizes by the running
-    statistics instead. Running variance uses the same biased estimator.
+    and the running statistics move by ``momentum``. Inference normalizes
+    by the running statistics instead, and so does a one-row training batch,
+    which cannot form batch statistics; neither changes them. Running
+    variance uses the same biased estimator.
     """
 
     kind = "batchnorm"
@@ -201,9 +202,7 @@ class BatchNorm(Layer):
     def forward(self, x, mode=INFER, rng=None):
         if x.shape[1] != self.dim:
             raise ShapeError(f"batchnorm expects {self.dim} columns, got {x.shape[1]}")
-        if mode == TRAIN:
-            if x.shape[0] < 2:
-                raise ValueError("batchnorm training statistics need a batch of >= 2 rows")
+        if mode == TRAIN and x.shape[0] >= 2:
             mean = x.mean(axis=0)
             var = x.var(axis=0)  # biased: divide by batch size
             inv_std = 1.0 / np.sqrt(var + self.epsilon)

@@ -145,11 +145,7 @@ def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = Non
         )
     layer_caches = []
     for layer in model.layers:
-        layer_mode = mode
-        # single-row batches cannot form batch statistics; fall back to running stats
-        if layer.kind == "batchnorm" and mode == L.TRAIN and x.shape[0] < 2:
-            layer_mode = L.INFER
-        x, cache = layer.forward(x, layer_mode, rng)
+        x, cache = layer.forward(x, mode, rng)
         layer_caches.append(cache)
     logits = x
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -1,17 +1,13 @@
-"""Array coercion helpers and the deterministic random stream.
+"""The deterministic random stream.
 
-Conventions used everywhere in this package:
-
-* matrices are 2-D C-contiguous float64 numpy arrays, batches as rows;
-* randomness comes from :class:`Rng`, a counter-based splitmix64 stream,
-  so a fixed seed yields the same values on every platform and run.
+All randomness in this package comes from :class:`Rng`, a counter-based
+splitmix64 stream, so a fixed seed yields the same values on every platform
+and run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ShapeError
 
 RNG_ALGORITHM = "splitmix64"
 
@@ -73,20 +69,3 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic random permutation of range(n)."""
         return np.argsort(self.uniform(n), kind="stable")
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting higher ranks."""
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim == 1:
-        out = out.reshape(1, -1)
-    if out.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={out.ndim}")
-    return np.ascontiguousarray(out)
-
-
-def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-

@@ -79,14 +79,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     return params, state
 
 
-def l2_penalty(params: np.ndarray, mask: np.ndarray, lam: float):
-    """(lam/2)*sum(w^2) over the entries ``mask`` marks (weight matrices;
-    biases and norm scales are exempt), and its gradient, exactly +0.0
-    on the exempt entries."""
+def l2_penalty(params: np.ndarray, mask: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient of (lam/2)*sum(w^2) over the entries ``mask`` marks (weight
+    matrices; biases and norm scales are exempt), exactly +0.0 on the
+    exempt entries."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    weights = np.where(mask, params, 0.0)
-    return 0.5 * lam * float(weights @ weights), lam * weights
+    return lam * np.where(mask, params, 0.0)
 
 
 @dataclass
@@ -176,7 +175,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
             _, cache = M.forward(model, xb, L.TRAIN, rng)
             data_loss = M.loss_from_cache(cache, yb)
             grads = M.backward(model, cache, yb)
-            grads += l2_penalty(params, model.l2_mask, cfg.l2_lambda)[1]
+            grads += l2_penalty(params, model.l2_mask, cfg.l2_lambda)
             adam_step(params, grads, state, cfg)
             total_loss += data_loss * len(idx)
         train_loss = total_loss / n

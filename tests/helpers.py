@@ -1,4 +1,5 @@
-"""Shared test utilities: a scalar reference RNG and finite-difference slopes.
+"""Shared test utilities: a scalar reference RNG, finite-difference slopes
+and the combined vector of one feature row.
 
 The reference generator is written as the plain sequential algorithm from the
 published splitmix64 description, deliberately sharing no code with the
@@ -6,6 +7,8 @@ vectorized implementation under test.
 """
 
 import numpy as np
+
+from twistnet.featcomb import CombinationSpec, transform_dataset
 
 MASK64 = (1 << 64) - 1
 
@@ -62,3 +65,10 @@ def fd_wrt(arr, f, h=1e-5):
         flat[i] = orig
         gflat[i] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def combine_row(x, m, approach):
+    """The combined vector of one feature row: a one-row batch transform,
+    one entry per m-subset in ``enumerate_subsets(len(x), m)`` order."""
+    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return transform_dataset(row, CombinationSpec(m=m, approach=approach)).values[0]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import helpers
-from helpers import central_diff, fd_wrt, rel_err
+from helpers import central_diff, combine_row, fd_wrt, rel_err
 
 from twistnet.cli import main as cli_main
 from twistnet.data import (
@@ -30,8 +30,6 @@ from twistnet.featcomb import (
     PAIRWISE_SUM,
     CombinationSpec,
     combine_backward,
-    combine_multiplicative,
-    combine_pairwise_sum,
     enumerate_subsets,
     transform_dataset,
 )
@@ -162,10 +160,10 @@ def layer_suite(seed):
     for m in (2, 3):
         subsets = enumerate_subsets(6, m)
         upstream = r.normal(size=len(subsets))
-        for approach, combine in ((MULTIPLICATIVE, combine_multiplicative),
-                                  (PAIRWISE_SUM, combine_pairwise_sum)):
+        for approach in (MULTIPLICATIVE, PAIRWISE_SUM):
             analytic = combine_backward(x, subsets, approach, upstream)
-            numeric = central_diff(lambda v: float(np.dot(upstream, combine(v, subsets))), x)
+            numeric = central_diff(
+                lambda v: float(np.dot(upstream, combine_row(v, m, approach))), x)
             worst = max(worst, rel_err(analytic, numeric))
     errs["combiners"] = worst
     return errs
@@ -206,7 +204,7 @@ def criterion_2():
     for _ in range(200):
         n = int(r.integers(3, 11))
         x = r.normal(size=n) * 3.0
-        got = combine_pairwise_sum(x, [tuple(range(n))])[0]
+        got = combine_row(x, n, PAIRWISE_SUM)[0]
         want = (x.sum() ** 2 - (x**2).sum()) / 2.0
         worst_identity = max(worst_identity, rel_err(got, want))
 
@@ -214,9 +212,8 @@ def criterion_2():
     for _ in range(200):
         n = int(r.integers(2, 9))
         x = r.normal(size=n)
-        subsets = enumerate_subsets(n, 2)
-        a = combine_multiplicative(x, subsets)
-        b = combine_pairwise_sum(x, subsets)
+        a = combine_row(x, 2, MULTIPLICATIVE)
+        b = combine_row(x, 2, PAIRWISE_SUM)
         worst_m2 = max(worst_m2, float(np.max(np.abs(a - b))))
 
     X = np.asarray(r.normal(size=(5, 7)))

@@ -74,6 +74,8 @@ def test_parse_run_config_null_combination():
 def test_parse_run_config_seed_propagates():
     rc = parse_run_config({"dataset": "d.csv", "label_column": "y", "seed": 9})
     assert rc.seed == 9 and rc.model.seed == 9 and rc.train.seed == 9
+    rc = parse_run_config({"dataset": "d.csv", "label_column": "y", "seed": 9}, seed=2)
+    assert rc.seed == 2 and rc.model.seed == 2 and rc.train.seed == 2
 
 
 def test_parse_run_config_collects_every_problem():
@@ -171,6 +173,7 @@ def with_cells(tmp_path, train_csv, cells, name):
     return path
 
 
+@pytest.mark.filterwarnings("error")  # the data error is the only report, no numpy warning
 def test_transform_overflow_exits_2_and_writes_nothing(tmp_path, train_csv, capsys):
     big_csv = with_cells(tmp_path, train_csv, {(3, 0): "1e200", (3, 2): "1e200"}, "big.csv")
     out = tmp_path / "never.csv"
@@ -248,7 +251,15 @@ def test_train_seed_override_changes_model(tmp_path, train_csv):
     _, dir_b = run_train(tmp_path, train_csv, "seed1", argv_extra=("--seed", "1"))
     results_b = json.loads((dir_b / "results.json").read_text())
     assert results_b["config"]["seed"] == 1
-    assert (dir_a / "checkpoint.json").read_text() != (dir_b / "checkpoint.json").read_text()
+    ckpt_b = (dir_b / "checkpoint.json").read_text()
+    lines_b = (dir_b / "results.json").read_text().splitlines()
+    assert (dir_a / "checkpoint.json").read_text() != ckpt_b
+    # --seed 1 runs exactly what a config with "seed": 1 runs
+    code, dir_c = run_train(tmp_path, train_csv, "seed1", extra={"seed": 1})
+    assert code == 0 and (dir_c / "checkpoint.json").read_text() == ckpt_b
+    lines_c = (dir_c / "results.json").read_text().splitlines()
+    assert len(lines_c) == len(lines_b)
+    assert all(b == c or "wall_time_seconds" in b for b, c in zip(lines_b, lines_c))
 
 
 def test_train_without_combination(tmp_path, train_csv):
@@ -566,6 +577,7 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, train_csv, capsys, case):
     # two in one row: a combined value overflows
     ({(2, 1): "1e200", (2, 3): "1e200"}, {}, "'comb_1_3' overflows at data row 2"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_train_data_overflow_exits_2_and_writes_nothing(tmp_path, train_csv, capsys,
                                                         cells, extra, named):
     big_csv = with_cells(tmp_path, train_csv, cells, "big.csv")

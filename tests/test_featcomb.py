@@ -1,4 +1,6 @@
-"""Combinatorial feature combination: combiners, gradients, transforms."""
+"""Combinatorial feature combination: combiners, gradients, transforms.
+
+The combiners are reached through transform_dataset on one-row batches."""
 
 import math
 from dataclasses import asdict
@@ -13,15 +15,12 @@ from twistnet.featcomb import (
     PAIRWISE_SUM,
     CombinationSpec,
     combine_backward,
-    combine_multiplicative,
-    combine_pairwise_sum,
     combined_feature_names,
     enumerate_subsets,
-    global_interaction,
     transform_dataset,
 )
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, combine_row, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -58,35 +57,30 @@ def test_enumerate_subsets_errors():
 # ---------------------------------------------------------------------------
 
 def test_multiplicative_single_triple():
-    subs = enumerate_subsets(3, 3)
-    assert combine_multiplicative([2.0, 3.0, 4.0], subs).tolist() == [24.0]
+    assert combine_row([2.0, 3.0, 4.0], 3, MULTIPLICATIVE).tolist() == [24.0]
 
 
 def test_multiplicative_pairs_of_four():
-    subs = enumerate_subsets(4, 2)
-    out = combine_multiplicative([1.0, 2.0, 3.0, 4.0], subs)
+    out = combine_row([1.0, 2.0, 3.0, 4.0], 2, MULTIPLICATIVE)
     assert out.tolist() == [2.0, 3.0, 4.0, 6.0, 8.0, 12.0]
 
 
 def test_multiplicative_zero_absorbs():
-    subs = enumerate_subsets(3, 3)
-    assert combine_multiplicative([0.0, 2.0, 3.0], subs).tolist() == [0.0]
+    assert combine_row([0.0, 2.0, 3.0], 3, MULTIPLICATIVE).tolist() == [0.0]
 
 
 def test_pairwise_sum_single_triple():
-    subs = enumerate_subsets(3, 3)
-    assert combine_pairwise_sum([1.0, 2.0, 3.0], subs).tolist() == [11.0]
+    assert combine_row([1.0, 2.0, 3.0], 3, PAIRWISE_SUM).tolist() == [11.0]
 
 
 def test_pairwise_sum_triples_of_four():
-    subs = enumerate_subsets(4, 3)
-    out = combine_pairwise_sum([1.0, 2.0, 3.0, 4.0], subs)
+    out = combine_row([1.0, 2.0, 3.0, 4.0], 3, PAIRWISE_SUM)
     assert out.tolist() == [11.0, 14.0, 19.0, 26.0]
 
 
 def test_pairwise_sum_rejects_singletons():
     with pytest.raises(ValueError):
-        combine_pairwise_sum([1.0, 2.0], [(0,), (1,)])
+        transform_dataset(np.ones((1, 2)), CombinationSpec(m=1, approach=PAIRWISE_SUM))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def test_full_set_pairwise_equals_square_identity():
         r = np.random.default_rng(seed)
         n = int(r.integers(2, 12))
         x = r.normal(size=n) * 3.0
-        got = combine_pairwise_sum(x, [tuple(range(n))])[0]
+        got = combine_row(x, n, PAIRWISE_SUM)[0]
         want = (x.sum() ** 2 - (x**2).sum()) / 2.0
         assert rel_err(got, want) < 1e-9
 
@@ -110,9 +104,8 @@ def test_m2_approaches_coincide():
         r = np.random.default_rng(100 + seed)
         n = int(r.integers(2, 9))
         x = r.normal(size=n)
-        subs = enumerate_subsets(n, 2)
-        a = combine_multiplicative(x, subs)
-        b = combine_pairwise_sum(x, subs)
+        a = combine_row(x, 2, MULTIPLICATIVE)
+        b = combine_row(x, 2, PAIRWISE_SUM)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -121,12 +114,10 @@ def test_permutation_invariance_of_combined_multiset():
     r = np.random.default_rng(7)
     x = r.normal(size=7)
     for m, approach in ((2, MULTIPLICATIVE), (3, MULTIPLICATIVE), (2, PAIRWISE_SUM), (3, PAIRWISE_SUM)):
-        subs = enumerate_subsets(7, m)
-        combine = combine_multiplicative if approach == MULTIPLICATIVE else combine_pairwise_sum
-        base = np.sort(combine(x, subs))
+        base = np.sort(combine_row(x, m, approach))
         for t in range(100):
             perm = np.random.default_rng(1000 + t).permutation(7)
-            shuffled = np.sort(combine(x[perm], subs))
+            shuffled = np.sort(combine_row(x[perm], m, approach))
             assert np.max(np.abs(base - shuffled)) < 1e-12
 
 
@@ -136,12 +127,11 @@ def test_scaling_laws():
     x = r.normal(size=6)
     c = 1.7
     for m in (2, 3, 4):
-        subs = enumerate_subsets(6, m)
-        mult = combine_multiplicative(x, subs)
-        mult_scaled = combine_multiplicative(c * x, subs)
+        mult = combine_row(x, m, MULTIPLICATIVE)
+        mult_scaled = combine_row(c * x, m, MULTIPLICATIVE)
         assert rel_err(mult_scaled, (c**m) * mult) < 1e-9
-        pair = combine_pairwise_sum(x, subs)
-        pair_scaled = combine_pairwise_sum(c * x, subs)
+        pair = combine_row(x, m, PAIRWISE_SUM)
+        pair_scaled = combine_row(c * x, m, PAIRWISE_SUM)
         assert rel_err(pair_scaled, (c**2) * pair) < 1e-9
 
 
@@ -181,12 +171,10 @@ def test_backward_matches_finite_differences():
         x = r.normal(size=n) + 0.1
         subs = enumerate_subsets(n, m)
         upstream = r.normal(size=len(subs))
-        for approach, combine in (
-            (MULTIPLICATIVE, combine_multiplicative),
-            (PAIRWISE_SUM, combine_pairwise_sum),
-        ):
+        for approach in (MULTIPLICATIVE, PAIRWISE_SUM):
             analytic = combine_backward(x, subs, approach, upstream)
-            numeric = central_diff(lambda v: float(np.dot(upstream, combine(v, subs))), x)
+            numeric = central_diff(
+                lambda v: float(np.dot(upstream, combine_row(v, m, approach))), x)
             assert rel_err(analytic, numeric) < 1e-6
 
 
@@ -194,25 +182,14 @@ def test_backward_matches_finite_differences():
 # global interaction
 # ---------------------------------------------------------------------------
 
-def test_global_interaction_pinned():
-    assert global_interaction([1.0, 2.0, 3.0], "relu") == 11.0
-    assert global_interaction([1.0, -2.0, 0.5], "relu") == 0.0
-    assert global_interaction([1.0, -2.0, 0.5], "identity") == -2.5
-
-
 def test_global_interaction_matches_pair_sum():
+    # the appended interaction column is the pairwise sum over the full set
     for seed in range(8):
         r = np.random.default_rng(seed)
         x = r.normal(size=int(r.integers(2, 15)))
-        want = combine_pairwise_sum(x, [tuple(range(len(x)))])[0]
-        assert rel_err(global_interaction(x, "identity"), want) < 1e-12
-
-
-def test_global_interaction_errors():
-    with pytest.raises(ValueError):
-        global_interaction([1.0])
-    with pytest.raises(ValueError):
-        global_interaction([1.0, 2.0], "tanh")
+        spec = CombinationSpec(m=1, append_global_interaction=True)
+        got = transform_dataset(x.reshape(1, -1), spec).values[0, -1]
+        assert rel_err(got, combine_row(x, len(x), PAIRWISE_SUM)[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +254,8 @@ def test_transform_rows_match_single_vector_combiner():
     X = r.normal(size=(5, 6))
     for spec in (CombinationSpec(m=3), CombinationSpec(m=3, approach=PAIRWISE_SUM)):
         out = transform_dataset(X, spec)
-        combine = combine_multiplicative if spec.approach == MULTIPLICATIVE else combine_pairwise_sum
         for i in range(5):
-            assert np.array_equal(out.values[i], combine(X[i], out.subsets))
+            assert np.array_equal(out.values[i], transform_dataset(X[i : i + 1], spec).values[0])
 
 
 def test_transform_interaction_column():
@@ -294,6 +270,15 @@ def test_transform_interaction_column():
 def test_transform_rejects_non_finite():
     with pytest.raises(ValueError):
         transform_dataset(np.array([[1.0, np.nan, 2.0]]), CombinationSpec(m=2))
+
+
+def test_transform_checks_rank_and_finiteness():
+    with pytest.raises(ShapeError):
+        transform_dataset(np.zeros((2, 2, 2)), CombinationSpec(m=2))
+    with pytest.raises(ValueError):
+        transform_dataset(np.array([[1.0, np.inf]]), CombinationSpec(m=2))
+    with pytest.raises(ValueError):
+        transform_dataset(np.array([[np.nan, 1.0]]), CombinationSpec(m=2))
 
 
 def test_combined_feature_names():

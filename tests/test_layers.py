@@ -156,8 +156,16 @@ def test_batchnorm_output_statistics():
 
 
 def test_batchnorm_train_needs_two_rows():
-    with pytest.raises(ValueError):
-        BatchNorm.init(2).forward(np.ones((1, 2)), TRAIN)
+    # one row cannot form batch statistics: TRAIN falls back to the running
+    # stats, bit for bit the INFER output, and leaves them untouched
+    bn = BatchNorm(np.array([1.5, 0.5]), np.array([0.1, -0.2]),
+                   np.array([0.3, -1.0]), np.array([2.0, 0.7]))
+    x = np.array([[1.25, -0.75]])
+    y_train, cache = bn.forward(x, TRAIN)
+    assert cache[0] == "running"
+    assert np.array_equal(y_train, bn.forward(x, INFER)[0])
+    assert bn.running_mean.tolist() == [0.3, -1.0]
+    assert bn.running_var.tolist() == [2.0, 0.7]
 
 
 def test_batchnorm_running_stat_update():

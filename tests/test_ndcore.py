@@ -1,15 +1,9 @@
-"""Array helpers and the deterministic random stream."""
+"""The deterministic random stream."""
 
 import numpy as np
 import pytest
 
-from twistnet.errors import ShapeError
-from twistnet.ndcore import (
-    RNG_ALGORITHM,
-    Rng,
-    as_matrix,
-    check_finite,
-)
+from twistnet.ndcore import RNG_ALGORITHM, Rng
 
 from helpers import splitmix64_reference
 
@@ -103,18 +97,3 @@ def test_module_level_wrappers():
     # mean and std rescale the same standard-normal draws
     assert np.array_equal(Rng(8).normal(5, 1.0, 2.0), 1.0 + 2.0 * Rng(8).normal(5))
 
-
-# ---------------------------------------------------------------------------
-# array helpers
-# ---------------------------------------------------------------------------
-
-def test_as_matrix_and_check_finite():
-    m = as_matrix([1.0, 2.0, 3.0])
-    assert m.shape == (1, 3)
-    assert m.dtype == np.float64
-    with pytest.raises(ShapeError):
-        as_matrix(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        check_finite(np.array([[1.0, np.inf]]))
-    with pytest.raises(ValueError):
-        check_finite(np.array([[np.nan]]))

@@ -141,18 +141,15 @@ def test_adam_bias_correction_matters_early():
 def test_l2_penalty_weights_only():
     params = np.array([3.0, 4.0, 10.0])  # a 1x2 weight matrix, then a bias
     mask = np.array([True, True, False])
-    penalty, grad_add = l2_penalty(params, mask, 0.1)
-    assert abs(penalty - 0.5 * 0.1 * 25.0) < 1e-12
+    grad_add = l2_penalty(params, mask, 0.1)
     assert np.allclose(grad_add[:2], 0.1 * params[:2])
     assert np.array_equal(grad_add[2:], np.zeros(1))
-    assert not np.signbit(l2_penalty(-params, mask, 0.1)[1][2])  # exactly +0.0
+    assert not np.signbit(l2_penalty(-params, mask, 0.1)[2])  # exactly +0.0
 
 
 def test_l2_penalty_zero_lambda():
     params, mask = np.ones(4), np.ones(4, dtype=bool)
-    penalty, grad_add = l2_penalty(params, mask, 0.0)
-    assert penalty == 0.0
-    assert np.array_equal(grad_add, np.zeros(4))
+    assert np.array_equal(l2_penalty(params, mask, 0.0), np.zeros(4))
     with pytest.raises(ValueError):
         l2_penalty(params, mask, -0.1)
 
