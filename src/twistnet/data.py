@@ -160,7 +160,8 @@ def zscore_fit(train: Dataset) -> NormStats:
 
 
 def zscore_apply(ds: Dataset, stats: NormStats) -> Dataset:
-    normed = (ds.features - stats.mean) / stats.std
+    normed = ds.features - stats.mean
+    normed /= stats.std
     return replace(ds, features=normed, norm_stats=stats)
 
 

@@ -1,9 +1,11 @@
 """Differentiable layers with explicit forward caches and manual backward passes.
 
 Every layer follows the same contract: ``forward(x, mode, rng)`` returns
-``(y, cache)``, ``backward(cache, upstream)`` returns ``(grad_x, grads)``
-with ``grads`` aligned to ``params``. Gradients are for the batch objective
-as-is; any L2 term is added by the trainer, never here.
+``(y, cache)``, ``backward(cache, upstream, input_grad=True)`` returns
+``(grad_x, grads)`` with ``grads`` aligned to ``params``. With
+``input_grad=False``, ``grad_x`` is None and its work is skipped; ``grads``
+come out bit-identical. Gradients are for the batch objective as-is; any L2
+term is added by the trainer, never here.
 """
 
 from __future__ import annotations
@@ -146,12 +148,12 @@ class Dense(Layer):
         y = relu(z) if self.activation == "relu" else z
         return y, (x, z)
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         x, z = cache
         dz = upstream * (z > 0) if self.activation == "relu" else upstream
         grad_w = dz.T @ x
         grad_b = dz.sum(axis=0)
-        grad_x = dz @ self.weights
+        grad_x = dz @ self.weights if input_grad else None
         return grad_x, [grad_w, grad_b]
 
 
@@ -163,8 +165,8 @@ class ReLULayer(Layer):
     def forward(self, x, mode=INFER, rng=None):
         return relu(x), x
 
-    def backward(self, cache, upstream):
-        return relu_backward(cache, upstream), []
+    def backward(self, cache, upstream, input_grad=True):
+        return (relu_backward(cache, upstream) if input_grad else None), []
 
 
 class BatchNorm(Layer):
@@ -218,10 +220,12 @@ class BatchNorm(Layer):
             cache = ("running", x, xhat, inv_std)
         return self.gamma * xhat + self.beta, cache
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         path, x, xhat, inv_std = cache
         grad_gamma = (upstream * xhat).sum(axis=0)
         grad_beta = upstream.sum(axis=0)
+        if not input_grad:
+            return None, [grad_gamma, grad_beta]
         dxhat = upstream * self.gamma
         if path == "running":
             # running stats are constants, the map is affine per column
@@ -257,7 +261,9 @@ class Dropout(Layer):
         scale = 1.0 / (1.0 - self.rate)
         return x * keep * scale, (keep, scale)
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
+        if not input_grad:
+            return None, []
         if cache is None:
             return upstream, []
         keep, scale = cache
@@ -292,7 +298,7 @@ class ResidualBlock(Layer):
         y = relu(z2) + x
         return y, (x, z1, a1, z2)
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         x, z1, a1, z2 = cache
         dz2 = upstream * (z2 > 0)
         grad_w2 = dz2.T @ a1
@@ -301,7 +307,8 @@ class ResidualBlock(Layer):
         dz1 = da1 * (z1 > 0)
         grad_w1 = dz1.T @ x
         grad_b1 = dz1.sum(axis=0)
-        grad_x = dz1 @ self.w1 + upstream  # skip path passes upstream through untouched
+        # the skip path passes upstream through untouched
+        grad_x = dz1 @ self.w1 + upstream if input_grad else None
         return grad_x, [grad_w1, grad_b1, grad_w2, grad_b2]
 
 
@@ -352,11 +359,13 @@ class Conv1D(Layer):
         b, k, l = y.shape
         return y.reshape(b, k * l), (x, win, (b, k, l))
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         x, win, (b, k, l) = cache
         dy = upstream.reshape(b, k, l)
         grad_bias = dy.sum(axis=(0, 2))
         grad_kern = np.einsum("bkl,blw->kw", dy, win)
+        if not input_grad:
+            return None, [grad_kern, grad_bias]
         grad_x = np.zeros_like(x)
         dcol = np.einsum("bkl,kw->blw", dy, self.kernels)  # [b, L, width]
         for s in range(self.width):

@@ -157,15 +157,17 @@ def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = Non
 
 def backward(model: ModelGraph, cache, labels) -> np.ndarray:
     """Gradient of mean cross-entropy as one vector aligned with
-    ``model.params``. L2 is the trainer's business."""
+    ``model.params``. L2 is the trainer's business. The first layer's input
+    gradient, the batch's own, is never computed."""
     if not isinstance(cache, dict) or cache.get("mode") != L.TRAIN:
         raise StateError("backward needs the cache of a train-mode forward pass")
     if len(cache.get("layer_caches", [])) != len(model.layers):
         raise StateError("cache does not match the model's layer stack")
     _, upstream = L.softmax_cross_entropy(cache["logits"], labels)
     pieces: list[np.ndarray] = []
-    for layer, layer_cache in zip(model.layers[::-1], cache["layer_caches"][::-1]):
-        upstream, grads = layer.backward(layer_cache, upstream)
+    for i in reversed(range(len(model.layers))):
+        upstream, grads = model.layers[i].backward(cache["layer_caches"][i], upstream,
+                                                   input_grad=i > 0)
         pieces[:0] = [g.ravel() for g in grads]
     return np.concatenate([np.zeros(0), *pieces])
 

@@ -1,5 +1,6 @@
 """CSV ingestion, normalization, stratified splitting, synthetic tasks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,24 @@ def test_zscore_two_point_column():
     assert out.features.tolist() == [[-1.0], [1.0]]
     assert out.norm_stats is stats
     assert ds.norm_stats is None  # original untouched
+
+
+def test_zscore_apply_allocates_one_block():
+    # the z-scored block is the only full-size array zscore_apply allocates
+    r = np.random.default_rng(1)
+    ds = Dataset(r.normal(size=(2000, 100)), np.zeros(2000, dtype=int), ["only"],
+                 [f"f{i}" for i in range(100)])
+    stats = zscore_fit(ds)
+    before = ds.features.copy()
+    tracemalloc.start()
+    try:
+        out = zscore_apply(ds, stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.features.nbytes
+    assert np.array_equal(ds.features, before)  # original untouched
+    assert np.array_equal(out.features, (before - stats.mean) / stats.std)
 
 
 def test_zscore_constant_column_sentinel():

@@ -568,3 +568,32 @@ def test_functional_wrappers_agree_with_methods():
     gx2, grads2 = block.backward(cache, up)
     assert np.array_equal(gx, gx2)
     assert all(np.array_equal(a, b) for a, b in zip(grads, grads2))
+
+
+# (layer, forward mode, forward rng seed, input columns) for every layer kind;
+# batchnorm runs both its batch-statistics and running-statistics paths
+INPUT_GRAD_CASES = {
+    "dense": (lambda: Dense.init(5, 3, Rng(20)), TRAIN, None, 5),
+    "relu": (lambda: ReLULayer(), TRAIN, None, 4),
+    "batchnorm-batch": (lambda: BatchNorm.init(4), TRAIN, None, 4),
+    "batchnorm-running": (lambda: BatchNorm.init(4), INFER, None, 4),
+    "dropout": (lambda: Dropout(0.5), TRAIN, 21, 4),
+    "residual": (lambda: ResidualBlock.init(4, Rng(22)), TRAIN, None, 4),
+    "conv1d": (lambda: Conv1D.init(2, 3, Rng(23), stride=2), TRAIN, None, 7),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_GRAD_CASES)
+def test_backward_without_input_grad(case):
+    make, mode, seed, cols = INPUT_GRAD_CASES[case]
+    layer = make()
+    r = np.random.default_rng(24)
+    x = np.asarray(r.normal(size=(6, cols)))
+    y, cache = layer.forward(x, mode, None if seed is None else Rng(seed))
+    up = r.normal(size=y.shape)
+    grad_x, grads = layer.backward(cache, up)
+    skipped, same = layer.backward(cache, up, input_grad=False)
+    assert grad_x is not None and grad_x.shape == x.shape
+    assert skipped is None
+    assert len(same) == len(grads) == len(layer.params)
+    assert all(np.array_equal(a, b) for a, b in zip(same, grads))

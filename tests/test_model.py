@@ -13,7 +13,7 @@ from twistnet.featcomb import (
     CombinationSpec,
     transform_dataset,
 )
-from twistnet.layers import INFER, TRAIN
+from twistnet.layers import INFER, TRAIN, softmax_cross_entropy
 from twistnet.model import (
     CHECKPOINT_FORMAT_KEYS,
     KIND_CNN1D,
@@ -238,6 +238,31 @@ def test_backward_invariant_to_batch_duplication():
     loss2 = loss_from_cache(cache2, y2)
     assert abs(loss1 - loss2) < 1e-12
     assert np.max(np.abs(g1 - g2)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [KIND_TCN, KIND_CNN1D])
+def test_backward_skips_only_the_first_input_gradient(kind, monkeypatch):
+    # the first layer's input gradient is d(loss)/d(batch), which nothing reads
+    model = (toy_model(input_dim=6, dropout=0.5) if kind == KIND_TCN
+             else build_baseline(KIND_CNN1D, 6, 2, ModelConfig()))
+    r = np.random.default_rng(7)
+    x = np.asarray(r.normal(size=(5, 6)))
+    y = np.array([0, 1, 0, 1, 1])
+    _, cache = forward(model, x, TRAIN, Rng(0))
+    _, upstream = softmax_cross_entropy(cache["logits"], y)
+    pieces = []
+    for layer, layer_cache in reversed(list(zip(model.layers, cache["layer_caches"]))):
+        upstream, grads = layer.backward(layer_cache, upstream)
+        pieces[:0] = [g.ravel() for g in grads]
+    seen = []
+    for cls in {type(layer) for layer in model.layers}:
+        def record(self, layer_cache, upstream, input_grad=True, _orig=cls.backward):
+            seen.append((self, input_grad))
+            return _orig(self, layer_cache, upstream, input_grad)
+        monkeypatch.setattr(cls, "backward", record)
+    got = backward(model, cache, y)
+    assert seen == [(layer, i > 0) for i, layer in reversed(list(enumerate(model.layers)))]
+    assert np.array_equal(got, np.concatenate(pieces))
 
 
 def test_full_stack_gradient_matches_finite_differences():
