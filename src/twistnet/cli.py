@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"twistnet: config error: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:  # numpy names the size it could not allocate
         print(f"twistnet: capacity error: {exc}", file=sys.stderr)
         return 3
     except (DataError, ShapeError) as exc:

@@ -11,7 +11,9 @@ Both operators are symmetric in the subset members, so reordering the input
 features permutes the combined columns but never changes their multiset.
 :func:`transform_dataset` applies one of them to every row of a batch, and
 can append the original features and a global interaction column, the sum
-over all i<j of x_i*x_j.
+over all i<j of x_i*x_j. It allocates the whole output once and fills the
+combined columns a block of rows at a time, each block about BLOCK_BYTES, so
+every member of every subset is folded into cells that are still in cache.
 """
 
 from __future__ import annotations
@@ -70,20 +72,30 @@ def enumerate_subsets(n: int, m: int, max_combined: int = 100000) -> list[tuple[
     return list(combinations(range(n), m))
 
 
-def _combine_rows(x: np.ndarray, subsets, approach: str) -> np.ndarray:
-    """Apply one combiner to every row of a 2-D block; the caller has
-    validated ``approach``."""
-    out = np.empty((x.shape[0], len(subsets)))
-    if approach == MULTIPLICATIVE:
-        for k, s in enumerate(subsets):
-            out[:, k] = np.prod(x[:, list(s)], axis=1)
-    else:
-        for k, s in enumerate(subsets):
-            acc = np.zeros(x.shape[0])
-            for a, b in combinations(s, 2):
-                acc += x[:, a] * x[:, b]
-            out[:, k] = acc
-    return out
+# Rows per block are chosen so that one block of combined columns is about
+# this many bytes and stays in cache while every subset member is folded in.
+BLOCK_BYTES = 1 << 18
+
+
+def _combine_rows(x: np.ndarray, subsets, approach: str, out: np.ndarray) -> None:
+    """Write one combiner's value of every row of ``x`` into ``out``, a block
+    of rows at a time; the caller has validated ``approach``."""
+    # [m, n_sub]: member i of each subset; every index is in range, so "clip"
+    # only spares take its bounds check and the buffered copy into ``out``
+    cols = np.array(subsets, dtype=np.intp).T
+    height = max(1, BLOCK_BYTES // (out.itemsize * len(subsets)))
+    for start in range(0, x.shape[0], height):
+        xb = x[start : start + height]
+        ob = out[start : start + height]
+        if approach == MULTIPLICATIVE:
+            np.take(xb, cols[0], axis=1, out=ob, mode="clip")
+            for c in cols[1:]:
+                ob *= np.take(xb, c, axis=1, mode="clip")
+        else:
+            members = [np.take(xb, c, axis=1, mode="clip") for c in cols]
+            ob.fill(0.0)
+            for a, b in combinations(range(len(cols)), 2):
+                ob += members[a] * members[b]
 
 
 def combine_backward(x, subsets, approach: str, upstream) -> np.ndarray:
@@ -133,12 +145,14 @@ def transform_dataset(X, spec: CombinationSpec) -> CombinedFeatures:
         raise ValueError("features contain non-finite entries")
     spec.validate()
     subsets = enumerate_subsets(X.shape[1], spec.m, spec.max_combined)
-    blocks = [_combine_rows(X, subsets, spec.approach)]
+    n_sub = len(subsets)
+    width = n_sub + X.shape[1] * spec.augment_original + spec.append_global_interaction
+    values = np.empty((X.shape[0], width))
+    _combine_rows(X, subsets, spec.approach, values[:, :n_sub])
     if spec.augment_original:
-        blocks.append(X)
+        values[:, n_sub : n_sub + X.shape[1]] = X
     if spec.append_global_interaction:
-        blocks.append(_global_pair_sum_rows(X).reshape(-1, 1))
-    values = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        values[:, -1] = _global_pair_sum_rows(X)
     return CombinedFeatures(values=values, subsets=subsets)
 
 

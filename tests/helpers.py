@@ -1,14 +1,16 @@
-"""Shared test utilities: a scalar reference RNG, finite-difference slopes
-and the combined vector of one feature row.
+"""Shared test utilities: a scalar reference RNG, finite-difference slopes,
+the combined vector of one feature row and a scalar reference combiner.
 
 The reference generator is written as the plain sequential algorithm from the
 published splitmix64 description, deliberately sharing no code with the
 vectorized implementation under test.
 """
 
+from itertools import combinations
+
 import numpy as np
 
-from twistnet.featcomb import CombinationSpec, transform_dataset
+from twistnet.featcomb import MULTIPLICATIVE, CombinationSpec, transform_dataset
 
 MASK64 = (1 << 64) - 1
 
@@ -72,3 +74,23 @@ def combine_row(x, m, approach):
     one entry per m-subset in ``enumerate_subsets(len(x), m)`` order."""
     row = np.asarray(x, dtype=np.float64).reshape(1, -1)
     return transform_dataset(row, CombinationSpec(m=m, approach=approach)).values[0]
+
+
+def combine_reference(x, subsets, approach):
+    """The combined block of ``x`` in plain Python floats, one cell at a time:
+    multiplicative folds the subset's members from the left; pairwise_sum
+    starts at 0.0 and adds each pair's product in ``combinations`` order."""
+    rows = np.asarray(x, dtype=np.float64).tolist()
+    out = []
+    for row in rows:
+        for s in subsets:
+            if approach == MULTIPLICATIVE:
+                v = row[s[0]]
+                for j in s[1:]:
+                    v *= row[j]
+            else:
+                v = 0.0
+                for a, b in combinations(s, 2):
+                    v += row[a] * row[b]
+            out.append(v)
+    return np.array(out, dtype=np.float64).reshape(len(rows), len(subsets))

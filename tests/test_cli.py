@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from twistnet.cli import main, normalize_approach, parse_run_config
-from twistnet.data import Dataset, load_csv, save_csv, stratified_split, synth_interaction
+from twistnet.data import (
+    Dataset,
+    Pipeline,
+    load_csv,
+    save_csv,
+    stratified_split,
+    synth_interaction,
+)
 from twistnet.errors import ConfigError
 from twistnet.featcomb import (
     MULTIPLICATIVE,
@@ -285,6 +292,30 @@ def test_train_missing_dataset_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"dataset": str(tmp_path / "ghost.csv"),
                                   "label_column": "label"}, name="ghost.json")
     assert main(["train", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["transform", "train"])
+def test_expansion_too_big_to_allocate_exits_3(tmp_path, train_csv, capsys, monkeypatch,
+                                               command):
+    # numpy raises MemoryError when the combined block cannot be allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.7 GiB for an array with shape "
+                          "(20000, 98770) and data type float64")
+
+    if command == "transform":
+        monkeypatch.setattr("twistnet.cli.combine", refuse)
+        out = tmp_path / "never.csv"
+        code = main(["transform", "--input", str(train_csv), "--output", str(out),
+                     "--label-column", "label", "--m", "3"])
+    else:
+        monkeypatch.setattr(Pipeline, "fit", staticmethod(refuse))
+        code, out = run_train(tmp_path, train_csv, "never")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "twistnet: capacity error: Unable to allocate 14.7 GiB for an array with shape "
+        "(20000, 98770) and data type float64"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

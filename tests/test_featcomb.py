@@ -3,6 +3,7 @@
 The combiners are reached through transform_dataset on one-row batches."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from twistnet.errors import CapacityError, ShapeError
 from twistnet.featcomb import (
     APPROACHES,
+    BLOCK_BYTES,
     MULTIPLICATIVE,
     PAIRWISE_SUM,
     CombinationSpec,
@@ -20,7 +22,7 @@ from twistnet.featcomb import (
     transform_dataset,
 )
 
-from helpers import central_diff, combine_row, rel_err
+from helpers import central_diff, combine_reference, combine_row, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,52 @@ def test_transform_rows_match_single_vector_combiner():
         out = transform_dataset(X, spec)
         for i in range(5):
             assert np.array_equal(out.values[i], transform_dataset(X[i : i + 1], spec).values[0])
+
+
+def signed_zero_rows(r, rows, n):
+    """Normal draws with about a third of the cells replaced by 0.0, -0.0 or
+    +-1e-200, whose products underflow to a signed zero."""
+    X = r.normal(size=(rows, n))
+    mask = r.random(size=X.shape) < 0.35
+    X[mask] = r.choice([0.0, -0.0, 1e-200, -1e-200], size=int(mask.sum()))
+    return X
+
+
+@pytest.mark.parametrize("m,approach,n", [
+    *((m, approach, 8) for m in range(1, 6) for approach in APPROACHES
+      if approach == MULTIPLICATIVE or m >= 2),
+    *((3, approach, 30) for approach in APPROACHES),  # 4060 columns, 8 rows a block
+])
+def test_transform_matches_reference_bytes(m, approach, n):
+    # every cell goes through the reference's IEEE operations in its order,
+    # signed zeros included, across block boundaries and partial last blocks
+    subsets = enumerate_subsets(n, m)
+    height = max(1, BLOCK_BYTES // (8 * len(subsets)))
+    r = np.random.default_rng(1000 * m + n)
+    row_counts = [0, 1, height - 1, height + 1, 3 * height + 2] if n < 30 else [12 * height + 5]
+    for rows in row_counts:
+        X = signed_zero_rows(r, rows, n)
+        got = transform_dataset(X, CombinationSpec(m=m, approach=approach)).values
+        want = combine_reference(X, subsets, approach)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (rows, m, approach)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("flags", [{}, {"augment_original": True},
+                                   {"append_global_interaction": True}],
+                         ids=["combined_only", "augment", "interaction"])
+def test_transform_allocates_one_block(approach, flags):
+    # the originals and the interaction column go into slices of the one
+    # output block; the row blocks' temporaries stay small beside it
+    X = np.random.default_rng(5).normal(size=(1000, 30))
+    tracemalloc.start()
+    try:
+        values = transform_dataset(X, CombinationSpec(m=3, approach=approach, **flags)).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * values.nbytes
 
 
 def test_transform_interaction_column():
