@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .data import Pipeline, combine, load_csv, save_csv
+from .data import Pipeline, combine, load_csv, read_text, save_csv
 from .errors import (
     CapacityError,
     ConfigError,
@@ -134,8 +134,7 @@ def parse_run_config(doc, seed: int | None = None) -> RunConfig:
 
 def load_run_config(path, seed: int | None = None) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

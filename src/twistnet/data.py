@@ -70,6 +70,14 @@ class Dataset:
         return replace(self, features=self.features[idx], labels=self.labels[idx])
 
 
+def read_text(path, error=ParseError) -> str:
+    """The UTF-8 text of ``path``; ``error`` naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_csv(path, label_column) -> Dataset:
     """Read a plain CSV, whose first row is the header, into a Dataset.
 
@@ -80,7 +88,7 @@ def load_csv(path, label_column) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln != ""]
+    lines = [ln for ln in read_text(path).splitlines() if ln != ""]
     if not lines:
         raise SchemaError(f"{path}: file is empty")
     cells = [ln.split(",") for ln in lines]
@@ -186,15 +194,15 @@ class Pipeline:
     """The steps from a raw CSV to model input, as fitted on a training file:
     its feature and class order, its label column, the feature combination
     with its subsets (None when not recorded), and the z-score stats of the
-    combined columns (None: no z-scoring)."""
+    combined columns."""
 
     feature_names: list[str]
     class_names: list[str]
     label_column: str
     combination: CombinationSpec | None
     subsets: list[tuple[int, ...]] | None
-    norm_mean: np.ndarray | None
-    norm_std: np.ndarray | None
+    norm_mean: np.ndarray
+    norm_std: np.ndarray
 
     @staticmethod
     def fit(raw: Dataset, spec: CombinationSpec | None) -> tuple["Pipeline", Dataset]:
@@ -225,27 +233,20 @@ class Pipeline:
         work, _ = combine(Dataset(ds.features[:, order], labels, self.class_names,
                                   self.feature_names, label_name=self.label_column),
                           self.combination)
-        if self.norm_mean is None:
-            return work
         return zscore_apply(work, NormStats(self.norm_mean, self.norm_std))
 
     def check(self) -> None:
-        """DataError unless the combination is valid for the features, the
-        recorded subsets are the ones it makes, and the stats hold one finite
-        mean and one finite std above 0 per combined column."""
-        n, spec, names = len(self.feature_names), self.combination, self.feature_names
+        """DataError unless the combination is valid for the features and the
+        stats hold one finite mean and one finite std above 0 per combined
+        column."""
+        spec, names = self.combination, self.feature_names
         if spec is not None:
             try:
                 spec.validate()
-                made = enumerate_subsets(n, spec.m, spec.max_combined)
+                made = enumerate_subsets(len(names), spec.m, spec.max_combined)
             except ValueError as exc:
                 raise DataError(f"'combination': {exc}") from None
             names = combined_feature_names(made, spec, names)
-        if self.subsets is not None and (spec is None or self.subsets != made):
-            raise DataError(f"'subsets' are not the m-subsets of {n} features "
-                            f"that 'combination' makes")
-        if self.norm_mean is None:
-            return
         if not len(self.norm_mean) == len(self.norm_std) == len(names):
             raise DataError(f"normalization stats have {len(self.norm_mean)} means and "
                             f"{len(self.norm_std)} stds for {len(names)} combined columns")

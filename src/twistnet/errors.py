@@ -22,7 +22,8 @@ class DataError(ValueError):
 
 
 class ParseError(DataError):
-    """A cell could not be parsed; message names row and column."""
+    """A file or a cell could not be parsed; the message names the file, or
+    the row and column."""
 
 
 class SchemaError(DataError):

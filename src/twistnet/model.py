@@ -18,7 +18,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import DataError, SchemaError, ShapeError, StateError, check_exact, schema_of
-from .data import Pipeline
+from .data import Pipeline, read_text
 from .featcomb import CombinationSpec
 from .ndcore import RNG_ALGORITHM, Rng
 
@@ -30,8 +30,7 @@ MODEL_KINDS = (KIND_TCN, KIND_LOGISTIC, KIND_MLP, KIND_CNN1D)
 
 CHECKPOINT_FORMAT_KEYS = {
     "kind": str, "config": dict, "combination": (dict, type(None)),
-    "subsets": (list, type(None)), "normalization_stats": (dict, type(None)),
-    "layers": list, "rng_algorithm": str, "seed": int, "input_dim": int, "n_classes": int,
+    "normalization_stats": dict, "layers": list, "rng_algorithm": str, "seed": int,
     "feature_names": list, "class_names": list, "label_column": str,
 }
 
@@ -197,20 +196,18 @@ class Checkpoint(Pipeline):
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` as strict JSON, each fact once: the subsets, input width,
+    class count and config seed are derived again at load."""
+    config = asdict(ckpt.config)
+    del config["seed"]  # the top-level "seed"
     doc = {
         "kind": ckpt.model.kind,
-        "config": asdict(ckpt.config),
+        "config": config,
         "combination": asdict(ckpt.combination) if ckpt.combination else None,
-        "subsets": [list(s) for s in ckpt.subsets] if ckpt.subsets is not None else None,
-        "normalization_stats": (
-            {"mean": ckpt.norm_mean.tolist(), "std": ckpt.norm_std.tolist()}
-            if ckpt.norm_mean is not None else None
-        ),
+        "normalization_stats": {"mean": ckpt.norm_mean.tolist(), "std": ckpt.norm_std.tolist()},
         "layers": [layer.to_entry() for layer in ckpt.model.layers],
         "rng_algorithm": RNG_ALGORITHM,
         "seed": ckpt.seed,
-        "input_dim": ckpt.model.input_dim,
-        "n_classes": ckpt.model.n_classes,
         "feature_names": ckpt.feature_names,
         "class_names": ckpt.class_names,
         "label_column": ckpt.label_column,
@@ -222,23 +219,19 @@ def load_checkpoint(path) -> Checkpoint:
     """Rebuild a checkpoint; SchemaError naming the problem if a key at any
     level is unknown, missing or of the wrong type, or if keys disagree."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from None
     check_exact(doc, CHECKPOINT_FORMAT_KEYS, f"checkpoint {path}")
     if doc["kind"] not in MODEL_KINDS:
         raise SchemaError(f"checkpoint 'kind' must be one of {list(MODEL_KINDS)}, "
                           f"got {doc['kind']!r}")
-    n_classes, class_names = doc["n_classes"], doc["class_names"]
-    if n_classes != len(class_names):
-        raise SchemaError(f"checkpoint 'n_classes' is {n_classes}, but 'class_names' "
-                          f"lists {len(class_names)}")
-    check_exact(doc["config"], schema_of(ModelConfig), "checkpoint 'config'")
-    comb, subsets, stats = doc["combination"], doc["subsets"], doc["normalization_stats"]
+    config, comb, stats = doc["config"], doc["combination"], doc["normalization_stats"]
+    check_exact(config, {k: t for k, t in schema_of(ModelConfig).items() if k != "seed"},
+                "checkpoint 'config'")
     if comb is not None:
         check_exact(comb, schema_of(CombinationSpec), "checkpoint 'combination'")
-    if stats is not None:
-        check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
+    check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
     if not all(isinstance(e, dict) for e in doc["layers"]):
         raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
     stack = [L.layer_from_entry(e) for e in doc["layers"]]
@@ -247,15 +240,14 @@ def load_checkpoint(path) -> Checkpoint:
         return np.array([v if type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
                          else np.nan for v in values], float)
 
+    class_names = list(doc["class_names"])
     ckpt = Checkpoint(
-        model=ModelGraph(doc["kind"], doc["input_dim"], n_classes, stack),
-        config=ModelConfig(**doc["config"]),
+        model=ModelGraph(doc["kind"], len(stats["mean"]), len(class_names), stack),
+        config=ModelConfig(seed=doc["seed"], **config),
         combination=CombinationSpec(**comb) if comb is not None else None,
-        subsets=None if subsets is None else [tuple(s) if isinstance(s, list) else s
-                                              for s in subsets],
-        norm_mean=numbers(stats["mean"]) if stats else None,
-        norm_std=numbers(stats["std"]) if stats else None,
-        feature_names=list(doc["feature_names"]), class_names=list(class_names),
+        subsets=None,
+        norm_mean=numbers(stats["mean"]), norm_std=numbers(stats["std"]),
+        feature_names=list(doc["feature_names"]), class_names=class_names,
         label_column=doc["label_column"], seed=doc["seed"],
     )
     try:

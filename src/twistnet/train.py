@@ -16,6 +16,7 @@ from .ndcore import Rng
 
 EARLY_STOP_MIN_DELTA = 1e-6
 GRAD_CHECK_MAX_PARAMS = 5000
+GRAD_CHECK_STEPS = (1e-5, 1e-4)  # each entry scores its best step; see grad_check_report
 
 
 @dataclass
@@ -33,18 +34,23 @@ class TrainConfig:
     shuffle_each_epoch: bool = True
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 <= self.l2_lambda < np.inf:
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.adam_epsilon < np.inf:
+            raise ValueError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon}")
 
 
 class AdamState:
@@ -274,9 +280,7 @@ def find_check_batch(model: M.ModelGraph, features, labels, size: int = 8,
     )
 
 
-def grad_check_report(model: M.ModelGraph, batch, labels,
-                      h: float | tuple = (1e-5, 1e-4),
-                      corruption: float = 0.0):
+def grad_check_report(model: M.ModelGraph, batch, labels, corruption: float = 0.0):
     """Central-difference check of every parameter against the analytic
     gradient; returns (max_relative_error, per-layer-kind maxima).
 
@@ -289,14 +293,11 @@ def grad_check_report(model: M.ModelGraph, batch, labels,
 
     The difference error is U-shaped in the step size (truncation grows with
     h, cancellation noise with 1/h), and no single h covers both large and
-    near-zero gradient entries; when ``h`` is a tuple each entry scores its
-    best step. A wrong analytic gradient fails at every step, so detection
-    power is kept. ``corruption`` is a test hook that offsets the first
-    analytic gradient entry.
+    near-zero gradient entries, so each entry scores its best step of
+    ``GRAD_CHECK_STEPS``. A wrong analytic gradient fails at every step, so
+    detection power is kept. ``corruption`` is a test hook that offsets the
+    first analytic gradient entry.
     """
-    steps = (h,) if isinstance(h, (int, float)) else tuple(h)
-    if not steps or any(s <= 0 for s in steps):
-        raise ValueError("finite-difference steps must be > 0")
     n_params = model.parameter_count()
     if n_params > GRAD_CHECK_MAX_PARAMS:
         raise CapacityError(
@@ -318,7 +319,7 @@ def grad_check_report(model: M.ModelGraph, batch, labels,
         for j, kind in enumerate(owners):
             orig = params[j]
             err = np.inf
-            for step in steps:
+            for step in GRAD_CHECK_STEPS:
                 params[j] = orig + step
                 up = _loss_only(model, batch, labels)
                 params[j] = orig - step

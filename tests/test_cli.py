@@ -273,7 +273,7 @@ def test_train_without_combination(tmp_path, train_csv):
     code, outdir = run_train(tmp_path, train_csv, "rawrun", extra={"combination": None})
     assert code == 0
     ckpt = json.loads((outdir / "checkpoint.json").read_text())
-    assert ckpt["combination"] is None and ckpt["subsets"] is None
+    assert ckpt["combination"] is None
     assert ckpt["layers"][0]["shape"][0][1] == 4  # raw width, no expansion
 
 
@@ -286,6 +286,47 @@ def test_train_config_errors_exit_1(tmp_path, train_csv, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
     assert main(["train", "--config", str(broken)]) == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("l2_lambda", math.nan),
+    ("beta1", 1.0), ("beta1", 1.5), ("beta1", -3.0), ("beta2", 1.0),
+    ("adam_epsilon", 0.0), ("adam_epsilon", math.nan),
+])
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic, so no numpy warning
+def test_train_out_of_range_optimizer_setting_exits_1(tmp_path, train_csv, capsys,
+                                                      name, value):
+    code, outdir = run_train(tmp_path, train_csv, "badopt",
+                             extra={"train": {"max_epochs": 12, name: value}})
+    assert code == 1
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command, corrupted, code", [
+    ("transform", "csv", 2), ("eval", "csv", 2), ("eval", "checkpoint", 2),
+    ("train", "config", 1),
+])
+def test_non_utf8_file_is_named(tmp_path, train_csv, capsys, command, corrupted, code):
+    files = {"csv": train_csv,
+             "config": write_config(tmp_path, {"dataset": str(train_csv), "label_column": "label",
+                                               "output_dir": str(tmp_path / "out")})}
+    if command == "eval":
+        files["checkpoint"], _ = trained(tmp_path, train_csv)
+    data = files[corrupted].read_bytes()
+    broken = tmp_path / f"latin1{files[corrupted].suffix}"
+    broken.write_bytes(data[:10] + b"\xff" + data[10:])
+    files[corrupted] = broken
+    argv = {
+        "transform": ["transform", "--input", files["csv"], "--output", tmp_path / "t.csv",
+                      "--label-column", "label"],
+        "eval": ["eval", "--checkpoint", files.get("checkpoint"), "--input", files["csv"]],
+        "train": ["train", "--config", files["config"]],
+    }[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == code
+    assert f"{broken} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "out").exists()
 
 
 def test_train_missing_dataset_exit_2(tmp_path, capsys):
@@ -351,32 +392,32 @@ def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
 # the numerics must leave every one of these bytes as it is.
 PINNED_SHA256 = {
     "default": (
-        "7c65220b429b0429246041c5b7627f4ceaaaebf808693ba8749a2536f0eef72b",
+        "331dc9dd1faa6b46a65876fb8f876605401cbfe9acdc1e7d69bee0e3b6a04fa5",
         "11fbe5d6897bb349874a55688a949eb149dbd7bd4d4b5b9b9e0ef50ddd4ad924",
         "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
     ),
     "raw": (
-        "2f1349e48df3783d80a57d88f8bed4f496938dc7bb312077b06f1d088f1682a6",
+        "18d376be19a9670baff233b73ae5aa7778f8e8409574375fca10226eddf70777",
         "80fb99d7b4390b84726007df27c6a00c8eb75468dbea13910f7218477627c5ac",
         "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
     ),
     "pairwise_m3": (
-        "6471873644c276b1bab4e70706e028571f79aee8e463eeb2007b3b394c65d4e1",
+        "87aae4ce8771991e020403ff2eeb8c40d62445d663fb350f458667a22402b833",
         "d56d626e3c0d7b7c9ea7e54efb40a1151d6e3a8f29402af74efa57f4acd03375",
         "45d34f5387e80716075b30d3d5e939ea359f5dbef5a395853ec8c79ead73d8fe",
     ),
     "mlp": (
-        "6ca65ce2b5a53557f72c8d9f5b1efa788c7b248d1ef20c230b8653d8f335464f",
+        "1f770794970021a6c891001401c5ea3cdaf593d2ade16eb498dfc1bbaa6dca3c",
         "e6202d9c04ba83bc9394eba92366c54e5fb688b17c1dada2697aab361a10cafe",
         "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
     ),
     "cnn1d": (
-        "c262afa62771e67641ce0d3e46d127e73c33ff62571a19fd1f1b0663a2a3db03",
+        "62ccc49943242ef30f9ac047b5b33a5d45eeaa88d997e5753e172458091c96ee",
         "f55a2456657f04a80416bcfa2fd37e84597efd153c2165da9383b8b21acc32f9",
         "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
     ),
     "logistic": (
-        "831450a42ddc46998601134764195e74a7d462e1b0cddebb80466f4d19f15253",
+        "0d08bb1f8dc6d62b9c502a840ac7d5ea6414bdf10d475bc509d44d47023c4561",
         "10def8563efc19143fc958637d40826832a5b151ac875ecd86eb631d49bc6fad",
         "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
     ),
@@ -552,16 +593,12 @@ MALFORMED_CHECKPOINTS = {
                             "'normalization_stats'"),
     "stats_mean_short": (lambda d: d["normalization_stats"]["mean"].pop(),
                          "normalization stats"),
-    "subsets_not_a_list": (lambda d: d.update(subsets=5), "'subsets'"),
-    "subsets_not_the_spec": (lambda d: d.update(subsets=[5]), "'subsets'"),
     "feature_names_not_a_list": (lambda d: d.update(feature_names=5), "'feature_names'"),
     "class_names_not_a_list": (lambda d: d.update(class_names=5), "'class_names'"),
-    "n_classes_not_class_names": (lambda d: d.update(n_classes=3), "'n_classes'"),
     "combination_m_string": (lambda d: d["combination"].update(m="2"), "'m'"),
     "combination_bad_approach": (lambda d: d["combination"].update(approach="bogus"),
                                  "bogus"),
-    "combination_m_past_features": (lambda d: (d["combination"].update(m=5),
-                                               d.update(subsets=None)), "m=5"),
+    "combination_m_past_features": (lambda d: d["combination"].update(m=5), "m=5"),
     "config_hidden1_string": (lambda d: d["config"].update(hidden1="20"), "'hidden1'"),
     "unknown_kind": (lambda d: d.update(kind="bogus"), "bogus"),
     "layer_unknown_key": (lambda d: d["layers"][0].update(colour="red"), "colour"),
@@ -581,6 +618,12 @@ MALFORMED_CHECKPOINTS = {
     "stats_mean_nan": (setting(math.nan, "normalization_stats", "mean", 0), "'mean'"),
     "stats_mean_infinity": (setting(-math.inf, "normalization_stats", "mean", 2), "'mean'"),
     "stats_mean_huge_int": (setting(HUGE_INT, "normalization_stats", "mean", 1), "'mean'"),
+    "stats_null": (lambda d: d.update(normalization_stats=None), "'normalization_stats'"),
+    "config_with_seed": (lambda d: d["config"].update(seed=0), "unknown key 'seed'"),
+    # the keys an older format wrote: derived at load now, never read
+    "parent_format": (lambda d: d.update(subsets=[[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
+                                                  [2, 3]], input_dim=6, n_classes=2),
+                      "unknown key 'input_dim'"),
 }
 
 

@@ -230,16 +230,13 @@ def test_pipeline_apply_reproduces_fit(spec):
 def test_pipeline_check_names_the_problem():
     raw = synth_interaction(30, 4, PRODUCT_SIGN, 0.1, Rng(0))
     pipeline, _ = Pipeline.fit(raw, CombinationSpec(m=2))
-    replace(pipeline, subsets=None).check()  # subsets need not be recorded
     std = pipeline.norm_std.copy()
     std[2] = np.inf
     for bad, named in [
         (replace(pipeline, norm_mean=pipeline.norm_mean[:5]), "5 means"),
         (replace(pipeline, norm_std=std), "'comb_0_3'"),
         (replace(pipeline, norm_std=-pipeline.norm_std), "'std'"),
-        (replace(pipeline, subsets=pipeline.subsets[::-1]), "'subsets'"),
-        (replace(pipeline, combination=CombinationSpec(m=5), subsets=None), "m=5"),
-        (replace(pipeline, combination=None), "'subsets'"),
+        (replace(pipeline, combination=CombinationSpec(m=5)), "m=5"),
     ]:
         with pytest.raises(DataError, match=named):
             bad.check()

@@ -377,7 +377,7 @@ def test_checkpoint_roundtrip_metadata(tmp_path):
     ckpt, path = make_checkpoint(tmp_path)
     back = load_checkpoint(path)
     assert back.combination == ckpt.combination
-    assert back.subsets == ckpt.subsets
+    assert back.subsets is None  # derived from the combination, never stored
     assert np.array_equal(back.norm_mean, ckpt.norm_mean)
     assert np.array_equal(back.norm_std, ckpt.norm_std)
     assert back.feature_names == ckpt.feature_names

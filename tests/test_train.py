@@ -310,7 +310,7 @@ def test_grad_check_logistic_toy_tight():
     model = build_baseline(KIND_LOGISTIC, 4, 3, ModelConfig(seed=8))
     batch = np.asarray(r.normal(size=(8, 4)))
     labels = np.asarray(r.integers(0, 3, size=8))
-    overall, _ = grad_check_report(model, batch, labels, h=1e-5)
+    overall, _ = grad_check_report(model, batch, labels)
     assert overall < 1e-6
 
 
@@ -341,20 +341,6 @@ def test_grad_check_leaves_model_untouched():
     for l, (m, v) in zip([l for l in model.layers if l.kind == "batchnorm"], stats):
         assert np.array_equal(l.running_mean, m) and np.array_equal(l.running_var, v)
     assert [l.rate for l in model.layers if l.kind == "dropout"] == rates
-
-
-def test_grad_check_step_validation():
-    model = build_baseline(KIND_LOGISTIC, 2, 2, ModelConfig())
-    batch = np.ones((2, 2))
-    labels = np.array([0, 1])
-    with pytest.raises(ValueError):
-        grad_check_report(model, batch, labels, h=0.0)
-    with pytest.raises(ValueError):
-        grad_check_report(model, batch, labels, h=-1e-5)
-    with pytest.raises(ValueError):
-        grad_check_report(model, batch, labels, h=(1e-5, 0.0))
-    with pytest.raises(ValueError):
-        grad_check_report(model, batch, labels, h=())
 
 
 def test_grad_check_capacity_limit():
