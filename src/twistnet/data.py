@@ -93,9 +93,9 @@ def load_csv(path, label_column) -> Dataset:
         raise SchemaError(f"{path}: file is empty")
     cells = [ln.split(",") for ln in lines]
     width = len(cells[0])
-    for i, row in enumerate(cells):
+    for i, row in enumerate(cells):  # cells[0] is the header, so i is the data row
         if len(row) != width:
-            raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            raise ParseError(f"{path}: data row {i} has {len(row)} cells, expected {width}")
 
     header = [h.strip() for h in cells[0]]
     rows = cells[1:]
@@ -134,7 +134,7 @@ def load_csv(path, label_column) -> Dataset:
                     features[r, c_out] = float(cell)
                 except ValueError:
                     raise ParseError(
-                        f"{path}: cannot parse cell {cell!r} at row {r + 2}, "
+                        f"{path}: cannot parse cell {cell!r} at data row {r + 1}, "
                         f"column {feature_names[c_out]!r} as a float"
                     ) from None
                 c_out += 1
@@ -143,7 +143,7 @@ def load_csv(path, label_column) -> Dataset:
         r, c = bad[0]
         cell = rows[r][c + (c >= label_idx)]
         raise ParseError(
-            f"{path}: non-finite cell {cell!r} at row {r + 2}, "
+            f"{path}: non-finite cell {cell!r} at data row {r + 1}, "
             f"column {feature_names[c]!r}"
         )
     return Dataset(features, labels, class_names, feature_names, label_name=label_name)
@@ -206,7 +206,11 @@ class Pipeline:
 
     @staticmethod
     def fit(raw: Dataset, spec: CombinationSpec | None) -> tuple["Pipeline", Dataset]:
-        """Fit on ``raw``; returns the checked pipeline and the model-ready dataset."""
+        """Fit on ``raw``; returns the checked pipeline and the model-ready
+        dataset. DataError if ``raw`` holds fewer than 2 classes."""
+        if raw.n_classes < 2:
+            raise DataError(f"label column {raw.label_name!r} holds {raw.n_classes} class, "
+                            "need at least 2")
         work, subsets = combine(raw, spec)
         with np.errstate(over="ignore", invalid="ignore"):  # check() names the column
             stats = zscore_fit(work)

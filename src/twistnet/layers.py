@@ -182,20 +182,17 @@ class BatchNorm(Layer):
     kind = "batchnorm"
     arrays = {"gamma": ("d",), "beta": ("d",), "running_mean": ("d",), "running_var": ("d",)}
     params = {"gamma": False, "beta": False}
-    settings = {"momentum": float, "epsilon": float}
+    momentum = 0.9
+    epsilon = 1e-5
 
-    def __init__(self, gamma, beta, running_mean, running_var,
-                 momentum: float = 0.9, epsilon: float = 1e-5):
-        if not epsilon > 0:
-            raise ValueError(f"batchnorm 'epsilon' must be > 0, got {epsilon}")
+    def __init__(self, gamma, beta, running_mean, running_var):
         self._store(gamma, beta, running_mean, running_var)
         if (self.running_var < 0).any():
             raise ValueError("batchnorm 'running_var' must not be negative")
-        self.momentum, self.epsilon = momentum, epsilon
 
     @classmethod
-    def init(cls, dim: int, momentum: float = 0.9, epsilon: float = 1e-5) -> "BatchNorm":
-        return cls(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim), momentum, epsilon)
+    def init(cls, dim: int) -> "BatchNorm":
+        return cls(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim))
 
     @property
     def dim(self):
@@ -313,27 +310,23 @@ class ResidualBlock(Layer):
 
 
 class Conv1D(Layer):
-    """Valid (no padding) cross-correlation over the feature axis.
+    """Valid (no padding) cross-correlation over the feature axis, stride 1.
 
     Each row is treated as a length-n signal; outputs of the K kernels are
     concatenated kernel-major, giving K * L_out columns with
-    L_out = floor((n - width) / stride) + 1.
+    L_out = n - width + 1.
     """
 
     kind = "conv1d"
     arrays = {"kernels": ("k", "width"), "bias": ("k",)}
     params = {"kernels": True, "bias": False}
-    settings = {"stride": int}
 
-    def __init__(self, kernels, bias, stride: int = 1):
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+    def __init__(self, kernels, bias):
         self._store(kernels, bias)
-        self.stride = stride
 
     @classmethod
-    def init(cls, n_kernels: int, width: int, rng: Rng, stride: int = 1) -> "Conv1D":
-        return cls(he_init(width, n_kernels, rng), np.zeros(n_kernels), stride)
+    def init(cls, n_kernels: int, width: int, rng: Rng) -> "Conv1D":
+        return cls(he_init(width, n_kernels, rng), np.zeros(n_kernels))
 
     @property
     def width(self):
@@ -346,12 +339,12 @@ class Conv1D(Layer):
     def output_length(self, n: int) -> int:
         if n < self.width:
             raise ShapeError(f"input length {n} shorter than kernel width {self.width}")
-        return (n - self.width) // self.stride + 1
+        return n - self.width + 1
 
     def _windows(self, x):
-        l_out = self.output_length(x.shape[1])
-        view = np.lib.stride_tricks.sliding_window_view(x, self.width, axis=1)
-        return np.ascontiguousarray(view[:, :: self.stride, :][:, :l_out, :])
+        self.output_length(x.shape[1])  # ShapeError if a row is shorter than a kernel
+        return np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(x, self.width, axis=1))
 
     def forward(self, x, mode=INFER, rng=None):
         win = self._windows(x)  # [b, L, width]
@@ -369,8 +362,7 @@ class Conv1D(Layer):
         grad_x = np.zeros_like(x)
         dcol = np.einsum("bkl,kw->blw", dy, self.kernels)  # [b, L, width]
         for s in range(self.width):
-            idx = s + self.stride * np.arange(l)
-            np.add.at(grad_x, (slice(None), idx), dcol[:, :, s])
+            grad_x[:, s : s + l] += dcol[:, :, s]
         return grad_x, [grad_kern, grad_bias]
 
 

@@ -29,7 +29,7 @@ KIND_CNN1D = "cnn1d"
 MODEL_KINDS = (KIND_TCN, KIND_LOGISTIC, KIND_MLP, KIND_CNN1D)
 
 CHECKPOINT_FORMAT_KEYS = {
-    "kind": str, "config": dict, "combination": (dict, type(None)),
+    "kind": str, "combination": (dict, type(None)),
     "normalization_stats": dict, "layers": list, "rng_algorithm": str, "seed": int,
     "feature_names": list, "class_names": list, "label_column": str,
 }
@@ -191,18 +191,16 @@ class Checkpoint(Pipeline):
     """A fitted pipeline and the model it feeds: everything ``eval`` needs."""
 
     model: ModelGraph
-    config: ModelConfig
+    config: ModelConfig | None  # what train built from; None after a load
     seed: int
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ``ckpt`` as strict JSON, each fact once: the subsets, input width,
-    class count and config seed are derived again at load."""
-    config = asdict(ckpt.config)
-    del config["seed"]  # the top-level "seed"
+    """Write ``ckpt`` as strict JSON, each fact once: the layer list is the
+    model, and the subsets, input width and class count are derived again
+    at load."""
     doc = {
         "kind": ckpt.model.kind,
-        "config": config,
         "combination": asdict(ckpt.combination) if ckpt.combination else None,
         "normalization_stats": {"mean": ckpt.norm_mean.tolist(), "std": ckpt.norm_std.tolist()},
         "layers": [layer.to_entry() for layer in ckpt.model.layers],
@@ -226,9 +224,7 @@ def load_checkpoint(path) -> Checkpoint:
     if doc["kind"] not in MODEL_KINDS:
         raise SchemaError(f"checkpoint 'kind' must be one of {list(MODEL_KINDS)}, "
                           f"got {doc['kind']!r}")
-    config, comb, stats = doc["config"], doc["combination"], doc["normalization_stats"]
-    check_exact(config, {k: t for k, t in schema_of(ModelConfig).items() if k != "seed"},
-                "checkpoint 'config'")
+    comb, stats = doc["combination"], doc["normalization_stats"]
     if comb is not None:
         check_exact(comb, schema_of(CombinationSpec), "checkpoint 'combination'")
     check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
@@ -243,7 +239,7 @@ def load_checkpoint(path) -> Checkpoint:
     class_names = list(doc["class_names"])
     ckpt = Checkpoint(
         model=ModelGraph(doc["kind"], len(stats["mean"]), len(class_names), stack),
-        config=ModelConfig(seed=doc["seed"], **config),
+        config=None,
         combination=CombinationSpec(**comb) if comb is not None else None,
         subsets=None,
         norm_mean=numbers(stats["mean"]), norm_std=numbers(stats["std"]),

@@ -171,43 +171,45 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     stale = 0
     n = fit_set.n_samples
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
-        total_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = fit_set.features[idx]
-            yb = fit_set.labels[idx]
-            _, cache = M.forward(model, xb, L.TRAIN, rng)
-            data_loss = M.loss_from_cache(cache, yb)
-            grads = M.backward(model, cache, yb)
-            grads += l2_penalty(params, model.l2_mask, cfg.l2_lambda)
-            adam_step(params, grads, state, cfg)
-            total_loss += data_loss * len(idx)
-        train_loss = total_loss / n
+    # a diverging run overflows inside the pass; the loss check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+            total_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                xb = fit_set.features[idx]
+                yb = fit_set.labels[idx]
+                _, cache = M.forward(model, xb, L.TRAIN, rng)
+                data_loss = M.loss_from_cache(cache, yb)
+                grads = M.backward(model, cache, yb)
+                grads += l2_penalty(params, model.l2_mask, cfg.l2_lambda)
+                adam_step(params, grads, state, cfg)
+                total_loss += data_loss * len(idx)
+            train_loss = total_loss / n
 
-        if val_set is not None:
-            val = evaluate(model, val_set)
-            record = EpochRecord(epoch, train_loss, val.mean_loss, val.accuracy)
-            improved = val.mean_loss < best_val - EARLY_STOP_MIN_DELTA
-        else:
-            record = EpochRecord(epoch, train_loss, None, None)
-            improved = True  # no validation signal: latest parameters are "best"
-        if not np.isfinite(train_loss) or not np.isfinite(record.val_loss or 0.0):
-            raise ValueError(f"training diverged at epoch {epoch}: the loss is not finite "
-                             f"(learning_rate {cfg.learning_rate:g})")
-        history.epochs.append(record)
+            if val_set is not None:
+                val = evaluate(model, val_set)
+                record = EpochRecord(epoch, train_loss, val.mean_loss, val.accuracy)
+                improved = val.mean_loss < best_val - EARLY_STOP_MIN_DELTA
+            else:
+                record = EpochRecord(epoch, train_loss, None, None)
+                improved = True  # no validation signal: latest parameters are "best"
+            if not np.isfinite(train_loss) or not np.isfinite(record.val_loss or 0.0):
+                raise ValueError(f"training diverged at epoch {epoch}: the loss is not finite "
+                                 f"(learning_rate {cfg.learning_rate:g})")
+            history.epochs.append(record)
 
-        if improved:
-            best_val = record.val_loss if val_set is not None else np.inf
-            best_epoch = epoch
-            best_params = params.copy()
-            stale = 0
-        else:
-            stale += 1
-        history.stopped_epoch = epoch
-        if val_set is not None and stale >= cfg.early_stop_patience:
-            break
+            if improved:
+                best_val = record.val_loss if val_set is not None else np.inf
+                best_epoch = epoch
+                best_params = params.copy()
+                stale = 0
+            else:
+                stale += 1
+            history.stopped_epoch = epoch
+            if val_set is not None and stale >= cfg.early_stop_patience:
+                break
 
     params[...] = best_params
     history.best_epoch = best_epoch

@@ -140,7 +140,7 @@ def layer_suite(seed):
         rel_err(gx, fd_wrt(x, f)),
     )
 
-    conv = Conv1D(r.normal(size=(2, 3)), r.normal(size=2), stride=2)
+    conv = Conv1D(r.normal(size=(2, 3)), r.normal(size=2))
     x = np.asarray(r.normal(size=(3, 9)))
     c = r.normal(size=(3, 2 * conv.output_length(9)))
     _, cache = conv.forward(x)

@@ -392,32 +392,32 @@ def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
 # the numerics must leave every one of these bytes as it is.
 PINNED_SHA256 = {
     "default": (
-        "331dc9dd1faa6b46a65876fb8f876605401cbfe9acdc1e7d69bee0e3b6a04fa5",
+        "2175d54d77e24c9b9492965eed1a3a165e071f557c0016dabb0bec8934a865c3",
         "11fbe5d6897bb349874a55688a949eb149dbd7bd4d4b5b9b9e0ef50ddd4ad924",
         "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
     ),
     "raw": (
-        "18d376be19a9670baff233b73ae5aa7778f8e8409574375fca10226eddf70777",
+        "a98e0c36faf38742338b335f90d4b7067b8da5f0e6d13a9907a567afe6e4ac35",
         "80fb99d7b4390b84726007df27c6a00c8eb75468dbea13910f7218477627c5ac",
         "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
     ),
     "pairwise_m3": (
-        "87aae4ce8771991e020403ff2eeb8c40d62445d663fb350f458667a22402b833",
+        "9629700d546c1be679b9c27300b5c8d1b62449dcd7529eb2edeae7974c528b5e",
         "d56d626e3c0d7b7c9ea7e54efb40a1151d6e3a8f29402af74efa57f4acd03375",
         "45d34f5387e80716075b30d3d5e939ea359f5dbef5a395853ec8c79ead73d8fe",
     ),
     "mlp": (
-        "1f770794970021a6c891001401c5ea3cdaf593d2ade16eb498dfc1bbaa6dca3c",
+        "012e854a398fb372c3ea31194986907ffef26a757ec4f6eb984a264a1ab745bc",
         "e6202d9c04ba83bc9394eba92366c54e5fb688b17c1dada2697aab361a10cafe",
         "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
     ),
     "cnn1d": (
-        "62ccc49943242ef30f9ac047b5b33a5d45eeaa88d997e5753e172458091c96ee",
+        "eae0af3ce8ee9a54293868a8fbb56e310c4b1ab98a8a19fbebbe16a23711b0cd",
         "f55a2456657f04a80416bcfa2fd37e84597efd153c2165da9383b8b21acc32f9",
         "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
     ),
     "logistic": (
-        "0d08bb1f8dc6d62b9c502a840ac7d5ea6414bdf10d475bc509d44d47023c4561",
+        "58d6ee2c4d39608fe599752eab15a9dfee75e4b6464454af2d7f64e0574559f6",
         "10def8563efc19143fc958637d40826832a5b151ac875ecd86eb631d49bc6fad",
         "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
     ),
@@ -487,7 +487,7 @@ def test_non_finite_cell_exits_2(tmp_path, train_csv, capsys):
     assert code == 2
     assert not (outdir / "results.json").exists()
     err = capsys.readouterr().err
-    assert "row 4" in err and "'x1'" in err
+    assert "data row 3" in err and "'x1'" in err
     ckpt, _ = trained(tmp_path, train_csv)
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--input", str(nan_csv)]) == 2
@@ -520,6 +520,20 @@ def test_header_only_csv_exits_2(tmp_path, train_csv, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--input", str(header_csv)]) == 2
     err = capsys.readouterr().err
     assert err.count("no data rows") == 3
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_one_class_csv_exits_2(tmp_path, train_csv, capsys, command):
+    one_class_csv = tmp_path / "one_class.csv"
+    one_class_csv.write_text(train_csv.read_text().replace(",neg\n", ",pos\n"), encoding="utf-8")
+    outdir = tmp_path / "one_class"
+    cfg = write_config(tmp_path, {"dataset": str(one_class_csv), "label_column": "label",
+                                  "output_dir": str(outdir)})
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not outdir.exists()
+    assert "data error" in err and "'label' holds 1 class" in err
 
 
 def test_eval_checkpoint_missing_keys_exit_2(tmp_path, train_csv, capsys):
@@ -579,7 +593,6 @@ HUGE_INT = "1" + "0" * 400
 # dropout, dense, dense), each with a word its error message must name
 MALFORMED_CHECKPOINTS = {
     "layer_without_values": (lambda d: d["layers"][0].pop("values"), "'values'"),
-    "config_unknown_key": (lambda d: d["config"].update(hiden1=20), "hiden1"),
     "combination_unknown_key": (lambda d: d["combination"].update(mm=2), "mm"),
     "unknown_layer_type": (lambda d: d["layers"][3].update(type="pooling"), "pooling"),
     "dropout_without_rate": (lambda d: d["layers"][4].pop("rate"), "'rate'"),
@@ -599,7 +612,6 @@ MALFORMED_CHECKPOINTS = {
     "combination_bad_approach": (lambda d: d["combination"].update(approach="bogus"),
                                  "bogus"),
     "combination_m_past_features": (lambda d: d["combination"].update(m=5), "m=5"),
-    "config_hidden1_string": (lambda d: d["config"].update(hidden1="20"), "'hidden1'"),
     "unknown_kind": (lambda d: d.update(kind="bogus"), "bogus"),
     "layer_unknown_key": (lambda d: d["layers"][0].update(colour="red"), "colour"),
     "dropout_rate_out_of_range": (lambda d: d["layers"][4].update(rate=1.5), "rate"),
@@ -610,8 +622,6 @@ MALFORMED_CHECKPOINTS = {
     "head_bias_1e999": (setting(OVERFLOW, "layers", 6, "values", 1, 0), "'bias'"),
     "running_mean_nan": (setting(math.nan, "layers", 2, "values", 2, 0), "'running_mean'"),
     "running_var_negative": (setting(-1.0, "layers", 2, "values", 3, 0), "'running_var'"),
-    "epsilon_zero": (setting(0.0, "layers", 2, "epsilon"), "'epsilon'"),
-    "epsilon_negative": (setting(-1.0, "layers", 2, "epsilon"), "'epsilon'"),
     "stats_std_zero": (setting(0.0, "normalization_stats", "std", 0), "'std'"),
     "stats_std_negative": (setting(-2.0, "normalization_stats", "std", 1), "'std'"),
     "stats_std_1e999": (setting(OVERFLOW, "normalization_stats", "std", 0), "'std'"),
@@ -619,11 +629,15 @@ MALFORMED_CHECKPOINTS = {
     "stats_mean_infinity": (setting(-math.inf, "normalization_stats", "mean", 2), "'mean'"),
     "stats_mean_huge_int": (setting(HUGE_INT, "normalization_stats", "mean", 1), "'mean'"),
     "stats_null": (lambda d: d.update(normalization_stats=None), "'normalization_stats'"),
-    "config_with_seed": (lambda d: d["config"].update(seed=0), "unknown key 'seed'"),
-    # the keys an older format wrote: derived at load now, never read
+    # the keys older formats wrote: derived at load now, never read
     "parent_format": (lambda d: d.update(subsets=[[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
                                                   [2, 3]], input_dim=6, n_classes=2),
                       "unknown key 'input_dim'"),
+    "config_copy": (lambda d: d.update(config={"hidden1": 20, "hidden2": 10,
+                                               "n_residual_blocks": 1, "dropout_rate": 0.5,
+                                               "use_batchnorm": True}),
+                    "unknown key 'config'"),
+    "batchnorm_with_epsilon": (setting(1e-5, "layers", 2, "epsilon"), "unknown key 'epsilon'"),
 }
 
 

@@ -93,7 +93,7 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(p, "label")
     msg = str(exc.value)
-    assert "row 3" in msg and "'b'" in msg and "oops" in msg
+    assert "data row 2" in msg and "'b'" in msg and "oops" in msg
 
 
 def test_load_csv_non_finite_cell_names_row_and_column(tmp_path):
@@ -102,12 +102,12 @@ def test_load_csv_non_finite_cell_names_row_and_column(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(p, "label")
     msg = str(exc.value)
-    assert "row 3" in msg and "'b'" in msg and "'inf'" in msg
+    assert "data row 2" in msg and "'b'" in msg and "'inf'" in msg
 
 
 def test_load_csv_ragged_row_rejected(tmp_path):
-    p = write(tmp_path, "a,b,label\n1.0,2.0,pos\n3.5,neg\n")
-    with pytest.raises(ParseError):
+    p = write(tmp_path, "a,b,label\n1.0,2.0,pos\n\n3.5,neg\n")  # blank lines are skipped
+    with pytest.raises(ParseError, match="data row 2 has 2 cells, expected 3"):
         load_csv(p, "label")
 
 

@@ -170,7 +170,7 @@ def test_batchnorm_train_needs_two_rows():
 
 def test_batchnorm_running_stat_update():
     x = np.array([[1.0, 10.0], [3.0, 30.0]])
-    bn = BatchNorm.init(2, momentum=0.9)
+    bn = BatchNorm.init(2)  # momentum 0.9
     bn.forward(x, TRAIN)
     assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
     assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0), atol=1e-12)
@@ -242,10 +242,11 @@ def test_batchnorm_gradients_match_finite_differences():
 
 
 def test_batchnorm_entry_roundtrip():
-    bn = BatchNorm.init(2, momentum=0.8, epsilon=1e-4)
+    bn = BatchNorm.init(2)
     bn.forward(np.array([[1.0, 2.0], [3.0, 4.0]]), TRAIN)
-    clone = BatchNorm.from_entry(bn.to_entry())
-    assert clone.momentum == 0.8 and clone.epsilon == 1e-4
+    entry = bn.to_entry()
+    assert set(entry) == {"type", "shape", "values"}  # momentum and epsilon are constants
+    clone = BatchNorm.from_entry(entry)
     assert np.array_equal(clone.running_mean, bn.running_mean)
     assert np.array_equal(clone.running_var, bn.running_var)
 
@@ -380,23 +381,22 @@ def test_conv1d_matches_bruteforce():
     x = np.asarray(r.normal(size=(3, 10)))
     kernels = r.normal(size=(2, 3))
     bias = r.normal(size=2)
-    for stride in (1, 2, 3):
-        conv = Conv1D(kernels, bias, stride)
-        l_out = conv.output_length(10)
-        y, _ = conv.forward(x)
-        assert y.shape == (3, 2 * l_out)
-        for b in range(3):
-            for k in range(2):
-                for pos in range(l_out):
-                    start = pos * stride
-                    want = float(np.dot(x[b, start : start + 3], kernels[k]) + bias[k])
-                    # kernel-major layout: column index is k * l_out + pos
-                    assert abs(y[b, k * l_out + pos] - want) < 1e-12
+    conv = Conv1D(kernels, bias)
+    l_out = conv.output_length(10)
+    y, _ = conv.forward(x)
+    assert y.shape == (3, 2 * l_out)
+    for b in range(3):
+        for k in range(2):
+            for pos in range(l_out):
+                want = float(np.dot(x[b, pos : pos + 3], kernels[k]) + bias[k])
+                # kernel-major layout: column index is k * l_out + pos
+                assert abs(y[b, k * l_out + pos] - want) < 1e-12
 
 
 def test_conv1d_output_length():
-    conv = Conv1D(np.ones((1, 3)), [0.0], stride=2)
-    assert conv.output_length(10) == 4
+    conv = Conv1D(np.ones((1, 3)), [0.0])
+    assert conv.output_length(10) == 8
+    assert conv.output_length(3) == 1
     with pytest.raises(ShapeError):
         conv.output_length(2)
 
@@ -406,33 +406,41 @@ def test_conv1d_validation():
         Conv1D(np.ones(3), [0.0])
     with pytest.raises(ShapeError):
         Conv1D(np.ones((2, 3)), [0.0])
-    with pytest.raises(ValueError):
-        Conv1D(np.ones((1, 3)), [0.0], stride=0)
+    with pytest.raises(TypeError):  # stride is always 1, not a setting
+        Conv1D(np.ones((1, 3)), [0.0], 1)
+    with pytest.raises(TypeError):
+        Conv1D.init(1, 3, Rng(0), 1)
 
 
 def test_conv1d_gradients_match_finite_differences():
     r = np.random.default_rng(11)
-    for stride in (1, 2):
-        conv = Conv1D(r.normal(size=(2, 3)), r.normal(size=2), stride)
-        x = np.asarray(r.normal(size=(3, 8)))
-        l_out = conv.output_length(8)
-        c = r.normal(size=(3, 2 * l_out))
+    conv = Conv1D(r.normal(size=(2, 3)), r.normal(size=2))
+    x = np.asarray(r.normal(size=(3, 8)))
+    l_out = conv.output_length(8)
+    c = r.normal(size=(3, 2 * l_out))
 
-        def loss():
-            y, _ = conv.forward(x)
-            return float(np.sum(c * y))
+    def loss():
+        y, _ = conv.forward(x)
+        return float(np.sum(c * y))
 
-        y, cache = conv.forward(x)
-        grad_x, (g_kern, g_bias) = conv.backward(cache, c)
-        assert rel_err(g_kern, fd_wrt(conv.kernels, loss)) < 1e-6
-        assert rel_err(g_bias, fd_wrt(conv.bias, loss)) < 1e-6
-        assert rel_err(grad_x, fd_wrt(x, loss)) < 1e-6
+    y, cache = conv.forward(x)
+    grad_x, (g_kern, g_bias) = conv.backward(cache, c)
+    assert rel_err(g_kern, fd_wrt(conv.kernels, loss)) < 1e-6
+    assert rel_err(g_bias, fd_wrt(conv.bias, loss)) < 1e-6
+    assert rel_err(grad_x, fd_wrt(x, loss)) < 1e-6
+    # reference: scatter each tap's column gradients with np.add.at
+    want = np.zeros_like(x)
+    dcol = np.einsum("bkl,kw->blw", c.reshape(3, 2, l_out), conv.kernels)
+    for s in range(conv.width):
+        np.add.at(want, (slice(None), s + np.arange(l_out)), dcol[:, :, s])
+    assert np.array_equal(grad_x, want)
 
 
 def test_conv1d_entry_roundtrip():
-    conv = Conv1D([[1.0, -1.0, 0.5]], [0.25], stride=2)
-    clone = Conv1D.from_entry(conv.to_entry())
-    assert clone.stride == 2
+    conv = Conv1D([[1.0, -1.0, 0.5]], [0.25])
+    entry = conv.to_entry()
+    assert set(entry) == {"type", "shape", "values"}
+    clone = Conv1D.from_entry(entry)
     x = np.asarray(np.random.default_rng(3).normal(size=(2, 7)))
     assert np.array_equal(clone.forward(x)[0], conv.forward(x)[0])
 
@@ -517,8 +525,12 @@ def test_from_entry_checks_settings_and_cells():
         with pytest.raises(SchemaError, match="'rate' must be float"):
             Dropout.from_entry({**rate, "rate": bad})
     conv = Conv1D.init(2, 3, Rng(0)).to_entry()
-    with pytest.raises(SchemaError, match="'stride' must be int"):
-        Conv1D.from_entry({**conv, "stride": 1.5})
+    with pytest.raises(SchemaError, match="unknown key 'stride'"):
+        Conv1D.from_entry({**conv, "stride": 1})
+    norm = BatchNorm.init(2).to_entry()
+    for key, value in (("momentum", 0.9), ("epsilon", 1e-5)):
+        with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
+            BatchNorm.from_entry({**norm, key: value})
     dense = Dense.init(2, 1, Rng(0)).to_entry()
     dense["values"][0][0][1] = "0.5"
     with pytest.raises(SchemaError, match="'weights' is not a numeric array"):
@@ -537,9 +549,12 @@ def test_batchnorm_arrays_must_be_equal_length_vectors():
 
 
 def test_batchnorm_epsilon_and_running_var_ranges():
-    for eps in (0.0, -1.0):
-        with pytest.raises(ValueError, match="'epsilon'"):
-            BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 0.9, eps)
+    # epsilon is a positive constant of the class, not a setting to range-check
+    assert BatchNorm.epsilon > 0
+    with pytest.raises(TypeError):
+        BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), 0.9, 1e-5)
+    with pytest.raises(TypeError):
+        BatchNorm.init(2, 0.9)
     with pytest.raises(ValueError, match="'running_var'"):
         BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, -1e-3]))
     BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2))  # zero variance is allowed
@@ -579,7 +594,7 @@ INPUT_GRAD_CASES = {
     "batchnorm-running": (lambda: BatchNorm.init(4), INFER, None, 4),
     "dropout": (lambda: Dropout(0.5), TRAIN, 21, 4),
     "residual": (lambda: ResidualBlock.init(4, Rng(22)), TRAIN, None, 4),
-    "conv1d": (lambda: Conv1D.init(2, 3, Rng(23), stride=2), TRAIN, None, 7),
+    "conv1d": (lambda: Conv1D.init(2, 3, Rng(23)), TRAIN, None, 7),
 }
 
 

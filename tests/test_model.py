@@ -384,7 +384,7 @@ def test_checkpoint_roundtrip_metadata(tmp_path):
     assert back.class_names == ckpt.class_names
     assert back.label_column == "label"
     assert back.seed == 7
-    assert back.config.hidden1 == 4 and back.config.hidden2 == 3
+    assert back.config is None  # the layer list is the model; no config copy is stored
     assert back.model.parameter_count() == ckpt.model.parameter_count()
 
 

@@ -1,37 +1,66 @@
-"""The README's checkpoint.json key table describes the format the code reads
-and writes: the same keys, each with the same types and nullability."""
+"""The README describes the formats the code reads and writes: the
+checkpoint.json key table has the same keys, types and nullability; the
+run-config table names each section's fields with their defaults; the
+layer-entry sentence names every layer setting."""
 
+import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from twistnet.model import CHECKPOINT_FORMAT_KEYS
+import pytest
+
+from twistnet.featcomb import CombinationSpec
+from twistnet.layers import LAYER_TYPES
+from twistnet.model import CHECKPOINT_FORMAT_KEYS, ModelConfig
+from twistnet.train import TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TYPE_WORDS = {"string": str, "integer": int, "object": dict, "list": list, "null": type(None)}
 
 
-def checkpoint_section() -> str:
+def section(title: str) -> str:
     text = README.read_text(encoding="utf-8")
-    return text.split("**checkpoint.json.**", 1)[1].split("\n\n**", 1)[0]
+    return text.split(f"**{title}**", 1)[1].split("\n\n**", 1)[0]
 
 
-def key_table(section: str) -> dict:
-    """Key -> set of types, from the first markdown table in ``section``."""
-    lines = section.splitlines()
+def table_rows(text: str) -> dict:
+    """Key -> its row's cells after the key, from the first markdown table in ``text``."""
+    lines = text.splitlines()
     start = next(i for i, ln in enumerate(lines) if ln.startswith("|"))
     rows = {}
     for line in lines[start + 2:]:  # past the header and its rule
         if not line.startswith("|"):
             break
-        key, kind = (cell.strip() for cell in line.strip("|").split("|")[:2])
-        rows[key.strip("`")] = {TYPE_WORDS[word] for word in kind.split(" or ")}
+        key, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = cells
     return rows
 
 
 def test_readme_checkpoint_table_matches_format():
-    section = checkpoint_section()
+    text = section("checkpoint.json.")
     want = {key: set(kinds) if isinstance(kinds, tuple) else {kinds}
             for key, kinds in CHECKPOINT_FORMAT_KEYS.items()}
-    assert key_table(section) == want
-    count = re.search(r"exactly\s+these\s+(\d+)\s+keys", section)
+    got = {key: {TYPE_WORDS[word] for word in cells[0].split(" or ")}
+           for key, cells in table_rows(text).items()}
+    assert got == want
+    count = re.search(r"exactly\s+these\s+(\d+)\s+keys", text)
     assert count and int(count.group(1)) == len(CHECKPOINT_FORMAT_KEYS)
+
+
+@pytest.mark.parametrize("key, cls", [("model", ModelConfig), ("combination", CombinationSpec),
+                                      ("train", TrainConfig)])
+def test_readme_run_config_table_matches_sections(key, cls):
+    # the cell reads "`name` default, `name` default, ...", then optional remarks after ";"
+    meaning = table_rows(section("Run config (JSON)."))[key][1]
+    listed = dict(re.fullmatch(r"`(\w+)` `?([^`]*)`?", item).groups()
+                  for item in meaning.split(";")[0].split(", "))
+    want = {f.name: f.default for f in fields(cls) if f.name != "seed"}
+    assert {name: json.loads(value) for name, value in listed.items()} == want
+
+
+def test_readme_layer_entry_sentence_names_every_setting():
+    text = section("checkpoint.json.")
+    named = re.search(r"A layer entry is its `type`, its settings \(([^)]*)\)", text).group(1)
+    assert set(re.findall(r"`(\w+)`", named)) == {
+        name for cls in LAYER_TYPES.values() for name in cls.settings}
