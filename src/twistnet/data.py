@@ -266,7 +266,8 @@ def stratified_split(ds: Dataset, fractions, rng: Rng) -> tuple[Dataset, Dataset
     """Per-class proportional split with largest-remainder rounding.
 
     ``fractions`` is (train, val, test); zero entries yield empty splits.
-    Within each class the sample order is shuffled by ``rng``.
+    Within each class the sample order is shuffled by ``rng``. DataError if
+    a class has fewer samples than the nonzero fractions.
     """
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3 or any(f < 0 for f in fractions):
@@ -280,7 +281,7 @@ def stratified_split(ds: Dataset, fractions, rng: Rng) -> tuple[Dataset, Dataset
         if members.size == 0:
             continue
         if members.size < active:
-            raise ValueError(
+            raise DataError(
                 f"class {ds.class_names[c]!r} has {members.size} samples, "
                 f"fewer than the {active} splits requiring it"
             )

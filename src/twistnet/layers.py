@@ -1,11 +1,13 @@
 """Differentiable layers with explicit forward caches and manual backward passes.
 
 Every layer follows the same contract: ``forward(x, mode, rng)`` returns
-``(y, cache)``, ``backward(cache, upstream, input_grad=True)`` returns
-``(grad_x, grads)`` with ``grads`` aligned to ``params``. With
-``input_grad=False``, ``grad_x`` is None and its work is skipped; ``grads``
-come out bit-identical. Gradients are for the batch objective as-is; any L2
-term is added by the trainer, never here.
+``(y, cache)``, ``backward(cache, upstream, input_grad=True, out=None)``
+returns ``(grad_x, grads)`` with ``grads`` aligned to ``params``. Given
+``out``, one array per entry of ``params``, the parameter gradients are
+written into it and ``grads`` is ``out``; without it they are fresh arrays,
+bit-identical either way. With ``input_grad=False``, ``grad_x`` is None and
+its work is skipped; ``grads`` come out bit-identical. Gradients are for the
+batch objective as-is; any L2 term is added by the trainer, never here.
 """
 
 from __future__ import annotations
@@ -51,10 +53,12 @@ def softmax_cross_entropy(logits, labels):
         raise ValueError(f"labels must lie in [0, {c}), got range [{y.min()}, {y.max()}]")
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -float(np.mean(log_probs[np.arange(b), y]))
+    rows = np.arange(b)
+    loss = -float(log_probs[rows, y].sum() / b)
     grad = np.exp(log_probs)
-    grad[np.arange(b), y] -= 1.0
-    return loss, grad / b
+    grad[rows, y] -= 1.0
+    grad /= b
+    return loss, grad
 
 
 class Layer:
@@ -85,6 +89,10 @@ class Layer:
             if not np.isfinite(array).all():
                 raise ValueError(f"{self.kind} array {name!r} holds a value that is not finite")
             setattr(self, name, array)
+
+    def _grad_out(self, out):
+        """``out`` if given, else fresh arrays shaped like ``params``."""
+        return out if out is not None else [np.empty_like(getattr(self, n)) for n in self.params]
 
     def to_entry(self):
         stored = [getattr(self, name) for name in self.arrays]
@@ -148,13 +156,14 @@ class Dense(Layer):
         y = relu(z) if self.activation == "relu" else z
         return y, (x, z)
 
-    def backward(self, cache, upstream, input_grad=True):
+    def backward(self, cache, upstream, input_grad=True, out=None):
         x, z = cache
+        grads = grad_w, grad_b = self._grad_out(out)
         dz = upstream * (z > 0) if self.activation == "relu" else upstream
-        grad_w = dz.T @ x
-        grad_b = dz.sum(axis=0)
+        np.matmul(dz.T, x, out=grad_w)
+        dz.sum(axis=0, out=grad_b)
         grad_x = dz @ self.weights if input_grad else None
-        return grad_x, [grad_w, grad_b]
+        return grad_x, grads
 
 
 class ReLULayer(Layer):
@@ -165,7 +174,7 @@ class ReLULayer(Layer):
     def forward(self, x, mode=INFER, rng=None):
         return relu(x), x
 
-    def backward(self, cache, upstream, input_grad=True):
+    def backward(self, cache, upstream, input_grad=True, out=None):
         return (relu_backward(cache, upstream) if input_grad else None), []
 
 
@@ -202,10 +211,13 @@ class BatchNorm(Layer):
         if x.shape[1] != self.dim:
             raise ShapeError(f"batchnorm expects {self.dim} columns, got {x.shape[1]}")
         if mode == TRAIN and x.shape[0] >= 2:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased: divide by batch size
+            # np.mean and np.var(axis=0)'s own arithmetic, one deviation pass
+            b = x.shape[0]
+            mean = x.sum(axis=0) / b
+            dev = x - mean
+            var = (dev * dev).sum(axis=0) / b  # biased: divide by batch size
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            xhat = (x - mean) * inv_std
+            xhat = dev * inv_std
             self.running_mean *= self.momentum
             self.running_mean += (1.0 - self.momentum) * mean
             self.running_var *= self.momentum
@@ -217,12 +229,13 @@ class BatchNorm(Layer):
             cache = ("running", x, xhat, inv_std)
         return self.gamma * xhat + self.beta, cache
 
-    def backward(self, cache, upstream, input_grad=True):
+    def backward(self, cache, upstream, input_grad=True, out=None):
         path, x, xhat, inv_std = cache
-        grad_gamma = (upstream * xhat).sum(axis=0)
-        grad_beta = upstream.sum(axis=0)
+        grads = grad_gamma, grad_beta = self._grad_out(out)
+        (upstream * xhat).sum(axis=0, out=grad_gamma)
+        upstream.sum(axis=0, out=grad_beta)
         if not input_grad:
-            return None, [grad_gamma, grad_beta]
+            return None, grads
         dxhat = upstream * self.gamma
         if path == "running":
             # running stats are constants, the map is affine per column
@@ -235,11 +248,15 @@ class BatchNorm(Layer):
                 - dxhat.sum(axis=0)
                 - xhat * (dxhat * xhat).sum(axis=0)
             )
-        return grad_x, [grad_gamma, grad_beta]
+        return grad_x, grads
 
 
 class Dropout(Layer):
-    """Inverted dropout: train-time masking scaled by 1/(1-rate), inference is identity."""
+    """Inverted dropout: train-time masking scaled by 1/(1-rate), inference is identity.
+
+    The cache is the float mask ``keep * (1/(1-rate))``; multiplying by it is
+    bit-equal to ``x * keep * scale``, signed zeros and infinities included.
+    """
 
     kind = "dropout"
     settings = {"rate": float}
@@ -255,16 +272,15 @@ class Dropout(Layer):
         if rng is None:
             raise ValueError("dropout in train mode needs an Rng")
         keep = rng.uniform(x.size).reshape(x.shape) >= self.rate
-        scale = 1.0 / (1.0 - self.rate)
-        return x * keep * scale, (keep, scale)
+        mask = keep * (1.0 / (1.0 - self.rate))
+        return x * mask, mask
 
-    def backward(self, cache, upstream, input_grad=True):
+    def backward(self, cache, upstream, input_grad=True, out=None):
         if not input_grad:
             return None, []
         if cache is None:
             return upstream, []
-        keep, scale = cache
-        return upstream * keep * scale, []
+        return upstream * cache, []
 
 
 class ResidualBlock(Layer):
@@ -295,18 +311,19 @@ class ResidualBlock(Layer):
         y = relu(z2) + x
         return y, (x, z1, a1, z2)
 
-    def backward(self, cache, upstream, input_grad=True):
+    def backward(self, cache, upstream, input_grad=True, out=None):
         x, z1, a1, z2 = cache
+        grads = grad_w1, grad_b1, grad_w2, grad_b2 = self._grad_out(out)
         dz2 = upstream * (z2 > 0)
-        grad_w2 = dz2.T @ a1
-        grad_b2 = dz2.sum(axis=0)
+        np.matmul(dz2.T, a1, out=grad_w2)
+        dz2.sum(axis=0, out=grad_b2)
         da1 = dz2 @ self.w2
         dz1 = da1 * (z1 > 0)
-        grad_w1 = dz1.T @ x
-        grad_b1 = dz1.sum(axis=0)
+        np.matmul(dz1.T, x, out=grad_w1)
+        dz1.sum(axis=0, out=grad_b1)
         # the skip path passes upstream through untouched
         grad_x = dz1 @ self.w1 + upstream if input_grad else None
-        return grad_x, [grad_w1, grad_b1, grad_w2, grad_b2]
+        return grad_x, grads
 
 
 class Conv1D(Layer):
@@ -352,18 +369,19 @@ class Conv1D(Layer):
         b, k, l = y.shape
         return y.reshape(b, k * l), (x, win, (b, k, l))
 
-    def backward(self, cache, upstream, input_grad=True):
+    def backward(self, cache, upstream, input_grad=True, out=None):
         x, win, (b, k, l) = cache
+        grads = grad_kern, grad_bias = self._grad_out(out)
         dy = upstream.reshape(b, k, l)
-        grad_bias = dy.sum(axis=(0, 2))
-        grad_kern = np.einsum("bkl,blw->kw", dy, win)
+        dy.sum(axis=(0, 2), out=grad_bias)
+        np.einsum("bkl,blw->kw", dy, win, out=grad_kern)
         if not input_grad:
-            return None, [grad_kern, grad_bias]
+            return None, grads
         grad_x = np.zeros_like(x)
         dcol = np.einsum("bkl,kw->blw", dy, self.kernels)  # [b, L, width]
         for s in range(self.width):
             grad_x[:, s : s + l] += dcol[:, :, s]
-        return grad_x, [grad_kern, grad_bias]
+        return grad_x, grads
 
 
 LAYER_TYPES = {

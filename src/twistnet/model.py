@@ -62,6 +62,8 @@ class ModelGraph:
     The graph owns ``params``, one float64 vector holding every trainable
     array of every layer, in layer order and then each layer's ``params``
     order; on construction each layer's arrays become views into it.
+    ``grads`` is the parallel vector ``backward`` writes into, and
+    ``layer_grads[i]`` holds layer i's views of it, one per parameter array.
     ``l2_mask`` marks the entries that L2 decay applies to.
     """
 
@@ -70,18 +72,24 @@ class ModelGraph:
     n_classes: int
     layers: list = field(default_factory=list)
     params: np.ndarray = field(init=False, repr=False, compare=False)
+    grads: np.ndarray = field(init=False, repr=False, compare=False)
+    layer_grads: list = field(init=False, repr=False, compare=False)
     l2_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        owned = [(layer, name) for layer in self.layers for name in layer.params]
-        arrays = [getattr(layer, name) for layer, name in owned]
+        owned = [(i, layer, name) for i, layer in enumerate(self.layers) for name in layer.params]
+        arrays = [getattr(layer, name) for _, layer, name in owned]
         self.params = np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
-        self.l2_mask = np.repeat(np.array([layer.params[name] for layer, name in owned], bool),
+        self.grads = np.zeros_like(self.params)
+        self.layer_grads = [[] for _ in self.layers]
+        self.l2_mask = np.repeat(np.array([layer.params[name] for _, layer, name in owned], bool),
                                  [a.size for a in arrays])
         start = 0
-        for (layer, name), a in zip(owned, arrays):
-            setattr(layer, name, self.params[start : start + a.size].reshape(a.shape))
-            start += a.size
+        for (i, layer, name), a in zip(owned, arrays):
+            end = start + a.size
+            setattr(layer, name, self.params[start:end].reshape(a.shape))
+            self.layer_grads[i].append(self.grads[start:end].reshape(a.shape))
+            start = end
 
     def parameter_count(self) -> int:
         return self.params.size
@@ -136,7 +144,10 @@ def build_baseline(kind: str, input_dim: int, n_classes: int,
 
 
 def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = None):
-    """Run the stack, returning class probabilities and a backward cache."""
+    """Run the stack, returning class probabilities and a backward cache.
+
+    In TRAIN mode the probabilities are None: the loss and its gradient come
+    from the cache's ``logits`` (``loss_from_cache``, ``backward``)."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(
@@ -146,29 +157,28 @@ def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = Non
     for layer in model.layers:
         x, cache = layer.forward(x, mode, rng)
         layer_caches.append(cache)
-    logits = x
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    full_cache = {"mode": mode, "layer_caches": layer_caches, "logits": x}
+    if mode == L.TRAIN:
+        return None, full_cache
+    shifted = x - x.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    full_cache = {"mode": mode, "layer_caches": layer_caches, "logits": logits}
-    return probs, full_cache
+    return exp / exp.sum(axis=1, keepdims=True), full_cache
 
 
 def backward(model: ModelGraph, cache, labels) -> np.ndarray:
-    """Gradient of mean cross-entropy as one vector aligned with
-    ``model.params``. L2 is the trainer's business. The first layer's input
-    gradient, the batch's own, is never computed."""
+    """Gradient of mean cross-entropy, written into and returned as
+    ``model.grads``, which the next call overwrites: copy it to keep it. L2
+    is the trainer's business. The first layer's input gradient, the
+    batch's own, is never computed."""
     if not isinstance(cache, dict) or cache.get("mode") != L.TRAIN:
         raise StateError("backward needs the cache of a train-mode forward pass")
     if len(cache.get("layer_caches", [])) != len(model.layers):
         raise StateError("cache does not match the model's layer stack")
     _, upstream = L.softmax_cross_entropy(cache["logits"], labels)
-    pieces: list[np.ndarray] = []
     for i in reversed(range(len(model.layers))):
-        upstream, grads = model.layers[i].backward(cache["layer_caches"][i], upstream,
-                                                   input_grad=i > 0)
-        pieces[:0] = [g.ravel() for g in grads]
-    return np.concatenate([np.zeros(0), *pieces])
+        upstream, _ = model.layers[i].backward(cache["layer_caches"][i], upstream,
+                                               input_grad=i > 0, out=model.layer_grads[i])
+    return model.grads
 
 
 def loss_from_cache(cache, labels) -> float:

@@ -94,3 +94,37 @@ def combine_reference(x, subsets, approach):
                     v += row[a] * row[b]
             out.append(v)
     return np.array(out, dtype=np.float64).reshape(len(rows), len(subsets))
+
+
+# The expressions the layers computed before their one-pass rewrites, kept as
+# byte-for-byte references.
+
+def batchnorm_moments_reference(x, epsilon):
+    """Batch-path mean, biased variance and normalised block, by np.mean and
+    np.var over axis 0."""
+    mean = x.mean(axis=0)
+    var = x.var(axis=0)
+    return mean, var, (x - mean) * (1.0 / np.sqrt(var + epsilon))
+
+
+def dropout_reference(x, keep, scale):
+    """Inverted dropout as the boolean mask and the scale applied in turn."""
+    return x * keep * scale
+
+
+def softmax_cross_entropy_reference(logits, labels):
+    """Mean cross-entropy and its logit gradient, by np.mean and a fresh
+    division."""
+    b = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -float(np.mean(log_probs[np.arange(b), labels]))
+    grad = np.exp(log_probs)
+    grad[np.arange(b), labels] -= 1.0
+    return loss, grad / b
+
+
+def softmax_rows(logits):
+    """Row-wise probabilities as an inference-mode forward pass computes them."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)

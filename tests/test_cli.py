@@ -536,6 +536,23 @@ def test_one_class_csv_exits_2(tmp_path, train_csv, capsys, command):
     assert "data error" in err and "'label' holds 1 class" in err
 
 
+def test_class_too_small_to_split_exits_2(tmp_path, train_csv, capsys):
+    # one 'neg' row cannot fill both the fit and the validation slice
+    header, *rows = train_csv.read_text().splitlines()
+    negs = [i for i, row in enumerate(rows) if row.endswith(",neg")]
+    kept = [row for i, row in enumerate(rows) if i not in negs[1:]]
+    small_csv = tmp_path / "one_neg.csv"
+    small_csv.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+    outdir = tmp_path / "one_neg"
+    cfg = write_config(tmp_path, {"dataset": str(small_csv), "label_column": "label",
+                                  "output_dir": str(outdir)})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not outdir.exists()
+    assert "data error" in err and "class 'neg' has 1 samples" in err
+
+
 def test_eval_checkpoint_missing_keys_exit_2(tmp_path, train_csv, capsys):
     ckpt, _ = trained(tmp_path, train_csv)
     doc = json.loads(ckpt.read_text())

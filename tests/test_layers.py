@@ -22,7 +22,13 @@ from twistnet.layers import (
 )
 from twistnet.ndcore import Rng
 
-from helpers import fd_wrt, rel_err
+from helpers import (
+    batchnorm_moments_reference,
+    dropout_reference,
+    fd_wrt,
+    rel_err,
+    softmax_cross_entropy_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +247,25 @@ def test_batchnorm_gradients_match_finite_differences():
     assert rel_err(grad_x, fd_wrt(x, loss_running)) < 1e-6
 
 
+@pytest.mark.parametrize("rows", [2, 3, 10, 500])
+def test_batchnorm_batch_moments_match_numpy_bytes(rows):
+    # mean, variance and xhat equal np.mean/np.var(axis=0)'s, byte for byte;
+    # with momentum 0 the running statistics become the batch's own
+    r = np.random.default_rng(rows)
+    scales = np.logspace(-5, 5, 11)
+    x = np.column_stack([r.normal(size=(rows, 11)) * scales + r.normal(size=11) * scales,
+                         np.full(rows, 3.0), np.zeros(rows), np.full(rows, -1e5)])
+    bn = BatchNorm.init(x.shape[1])
+    bn.momentum = 0.0
+    y, (_, _, xhat, inv_std) = bn.forward(x, TRAIN)
+    mean, var, want_xhat = batchnorm_moments_reference(x, BatchNorm.epsilon)
+    assert bn.running_mean.tobytes() == mean.tobytes()
+    assert bn.running_var.tobytes() == var.tobytes()
+    assert inv_std.tobytes() == (1.0 / np.sqrt(var + BatchNorm.epsilon)).tobytes()
+    assert xhat.tobytes() == want_xhat.tobytes()
+    assert y.tobytes() == (bn.gamma * want_xhat + bn.beta).tobytes()
+
+
 def test_batchnorm_entry_roundtrip():
     bn = BatchNorm.init(2)
     bn.forward(np.array([[1.0, 2.0], [3.0, 4.0]]), TRAIN)
@@ -296,6 +321,22 @@ def test_dropout_backward_masks_like_forward():
     assert grads == []
     assert np.array_equal(grad_x != 0.0, y != 0.0)
     assert np.allclose(grad_x[y != 0.0], 6.0)
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.5, 0.9])
+def test_dropout_matches_mask_times_scale_bytes(rate):
+    # one cached float mask is bit-equal to applying keep and scale in turn
+    specials = [-0.0, 0.0, np.inf, -np.inf, 1e-308, -3.5, 1e308]
+    x = np.array(specials * 6).reshape(6, 7)
+    up = np.array(specials[::-1] * 6).reshape(6, 7)
+    keep = Rng(5).uniform(x.size).reshape(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    assert keep.any() and not keep.all()
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and 1e308 * scale
+        y, cache = Dropout(rate).forward(x, TRAIN, Rng(5))
+        assert y.tobytes() == dropout_reference(x, keep, scale).tobytes()
+        grad_x, _ = Dropout(rate).backward(cache, up)
+        assert grad_x.tobytes() == dropout_reference(up, keep, scale).tobytes()
 
 
 def test_dropout_deterministic_mask():
@@ -491,6 +532,22 @@ def test_softmax_gradient_matches_finite_differences():
     assert rel_err(grad, numeric) < 1e-6
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 300])
+def test_softmax_matches_reference_bytes(rows):
+    # the loss as sum / b and the gradient divided in place equal np.mean and
+    # a fresh division, byte for byte, out to logits near +-1e300
+    r = np.random.default_rng(rows)
+    logits = r.normal(size=(rows, 4)) * 10.0 ** r.integers(-3, 4, size=(rows, 1))
+    logits[::3, 0] = 1e300
+    logits[1::3, 2] = -1e300
+    logits[2::3] = [1e300, -1e300, 0.99e300, -0.0]
+    labels = r.integers(0, 4, size=rows)
+    loss, grad = softmax_cross_entropy(logits, labels)
+    want_loss, want_grad = softmax_cross_entropy_reference(logits, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_softmax_label_validation():
     with pytest.raises(ValueError):
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
@@ -596,6 +653,24 @@ INPUT_GRAD_CASES = {
     "residual": (lambda: ResidualBlock.init(4, Rng(22)), TRAIN, None, 4),
     "conv1d": (lambda: Conv1D.init(2, 3, Rng(23)), TRAIN, None, 7),
 }
+
+
+@pytest.mark.parametrize("case", INPUT_GRAD_CASES)
+def test_backward_writes_into_out(case):
+    # given out, the parameter gradients land there, bit-equal to fresh ones
+    make, mode, seed, cols = INPUT_GRAD_CASES[case]
+    layer = make()
+    r = np.random.default_rng(25)
+    x = np.asarray(r.normal(size=(6, cols)))
+    y, cache = layer.forward(x, mode, None if seed is None else Rng(seed))
+    up = r.normal(size=y.shape)
+    grad_x, fresh = layer.backward(cache, up)
+    out = [np.full_like(g, np.nan) for g in fresh]
+    for input_grad in (True, False):
+        got_x, grads = layer.backward(cache, up, input_grad=input_grad, out=out)
+        assert grads is out if layer.params else grads == []
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(out, fresh))
+        assert got_x is None if not input_grad else got_x.tobytes() == grad_x.tobytes()
 
 
 @pytest.mark.parametrize("case", INPUT_GRAD_CASES)

@@ -35,7 +35,7 @@ from twistnet.model import (
 from twistnet.ndcore import Rng
 from twistnet.train import TrainConfig, train_loop
 
-from helpers import rel_err
+from helpers import rel_err, softmax_rows
 
 
 def toy_model(input_dim=3, n_classes=2, seed=0, dropout=0.0, blocks=1):
@@ -181,14 +181,15 @@ def test_forward_train_differs_from_infer():
     model = toy_model(dropout=0.5)
     x = np.asarray(np.random.default_rng(1).normal(size=(6, 3)))
     infer_probs, _ = forward(model, x, INFER)
-    train_probs, _ = forward(model, x, TRAIN, Rng(0))
-    assert not np.allclose(infer_probs, train_probs)
+    train_probs, cache = forward(model, x, TRAIN, Rng(0))
+    assert train_probs is None  # train mode computes no probabilities
+    assert not np.allclose(infer_probs, softmax_rows(cache["logits"]))
 
 
 def test_forward_single_row_train_falls_back_to_running_stats():
     model = toy_model(dropout=0.0)
     probs, cache = forward(model, np.ones((1, 3)), TRAIN, Rng(0))
-    assert probs.shape == (1, 2)
+    assert probs is None and softmax_rows(cache["logits"]).shape == (1, 2)
 
 
 def test_forward_shape_check():
@@ -229,7 +230,7 @@ def test_backward_invariant_to_batch_duplication():
     x = np.asarray(r.normal(size=(4, 3)))
     y = np.array([0, 1, 1, 0])
     _, cache1 = forward(model, x, TRAIN)
-    g1 = backward(model, cache1, y)
+    g1 = backward(model, cache1, y).copy()  # the next backward overwrites model.grads
     loss1 = loss_from_cache(cache1, y)
     x2 = np.vstack([x, x])
     y2 = np.concatenate([y, y])
@@ -256,13 +257,42 @@ def test_backward_skips_only_the_first_input_gradient(kind, monkeypatch):
         pieces[:0] = [g.ravel() for g in grads]
     seen = []
     for cls in {type(layer) for layer in model.layers}:
-        def record(self, layer_cache, upstream, input_grad=True, _orig=cls.backward):
+        def record(self, layer_cache, upstream, input_grad=True, out=None, _orig=cls.backward):
             seen.append((self, input_grad))
-            return _orig(self, layer_cache, upstream, input_grad)
+            return _orig(self, layer_cache, upstream, input_grad, out)
         monkeypatch.setattr(cls, "backward", record)
     got = backward(model, cache, y)
     assert seen == [(layer, i > 0) for i, layer in reversed(list(enumerate(model.layers)))]
     assert np.array_equal(got, np.concatenate(pieces))
+
+
+def layerwise_gradients(model, cache, labels):
+    """Each layer's own backward, into fresh arrays, joined in params order."""
+    _, upstream = softmax_cross_entropy(cache["logits"], labels)
+    pieces = []
+    for layer, layer_cache in reversed(list(zip(model.layers, cache["layer_caches"]))):
+        upstream, grads = layer.backward(layer_cache, upstream, out=None)
+        pieces[:0] = [g.ravel() for g in grads]
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("kind", [KIND_TCN, KIND_MLP, KIND_LOGISTIC, KIND_CNN1D])
+def test_backward_writes_model_grads_in_place(kind):
+    model = (toy_model(input_dim=6, dropout=0.5) if kind == KIND_TCN
+             else build_baseline(kind, 6, 2, ModelConfig(hidden1=5, hidden2=4)))
+    r = np.random.default_rng(8)
+    y = np.array([0, 1, 0, 1, 1])
+    _, cache = forward(model, r.normal(size=(5, 6)), TRAIN, Rng(0))
+    first = layerwise_gradients(model, cache, y)
+    assert backward(model, cache, y) is model.grads
+    assert model.grads.tobytes() == first.tobytes()
+    # a second call overwrites every entry of the same buffer
+    _, cache = forward(model, r.normal(size=(5, 6)), TRAIN, Rng(1))
+    second = layerwise_gradients(model, cache, y)
+    assert not np.array_equal(first, second)
+    model.grads.fill(np.nan)
+    assert backward(model, cache, y) is model.grads
+    assert model.grads.tobytes() == second.tobytes()
 
 
 def test_full_stack_gradient_matches_finite_differences():
