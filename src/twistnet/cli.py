@@ -40,7 +40,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .ndcore import RNG_ALGORITHM
+from .ndcore import RNG_ALGORITHM, SEED_LIMIT
 from .train import (
     TrainConfig,
     evaluate,
@@ -116,10 +116,12 @@ def parse_run_config(doc, seed: int | None = None) -> RunConfig:
             comb_doc["approach"] = normalize_approach(comb_doc["approach"])
         except ConfigError as exc:
             problems.append(str(exc))
+    seed = top.get("seed", 0) if seed is None else seed
+    if not 0 <= seed < SEED_LIMIT:
+        problems.append(f"'seed' must be in [0, 2**64), got {seed}")
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
-    seed = top.get("seed", 0) if seed is None else seed
     return RunConfig(
         dataset=top["dataset"],
         label_column=top["label_column"],

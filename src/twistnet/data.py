@@ -86,19 +86,16 @@ def load_csv(path, label_column) -> Dataset:
     Label strings are encoded by first appearance.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    lines = [ln for ln in read_text(path).splitlines() if ln != ""]
-    if not lines:
+    rows = [ln.split(",") for ln in read_text(path).splitlines() if ln != ""]
+    if not rows:
         raise SchemaError(f"{path}: file is empty")
-    cells = [ln.split(",") for ln in lines]
-    width = len(cells[0])
-    for i, row in enumerate(cells):  # cells[0] is the header, so i is the data row
+    header, *rows = rows
+    width = len(header)
+    for i, row in enumerate(rows, 1):
         if len(row) != width:
             raise ParseError(f"{path}: data row {i} has {len(row)} cells, expected {width}")
 
-    header = [h.strip() for h in cells[0]]
-    rows = cells[1:]
+    header = [h.strip() for h in header]
     if len(set(header)) < width:
         repeated = next(h for i, h in enumerate(header) if h in header[:i])
         raise SchemaError(f"{path}: header repeats column {repeated!r}")
@@ -113,50 +110,37 @@ def load_csv(path, label_column) -> Dataset:
             raise SchemaError(f"label column index {label_idx} out of range for {width} columns")
     else:
         raise SchemaError(f"label column {label_column!r} not found in header {header}")
-    label_name = header[label_idx]
+    label_name = header.pop(label_idx)  # from here on header and rows hold features only
 
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
     features = np.empty((len(rows), width - 1))
     labels = np.empty(len(rows), dtype=np.int64)
-    class_names: list[str] = []
     class_index: dict[str, int] = {}
     for r, row in enumerate(rows):
-        c_out = 0
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                name = cell.strip()
-                if name not in class_index:
-                    class_index[name] = len(class_names)
-                    class_names.append(name)
-                labels[r] = class_index[name]
-            else:
+        labels[r] = class_index.setdefault(row.pop(label_idx).strip(), len(class_index))
+        try:
+            features[r] = [float(cell) for cell in row]
+        except ValueError:
+            for c, cell in enumerate(row):
                 try:
-                    features[r, c_out] = float(cell)
+                    float(cell)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse cell {cell!r} at data row {r + 1}, "
-                        f"column {feature_names[c_out]!r} as a float"
-                    ) from None
-                c_out += 1
+                    raise ParseError(f"{path}: cannot parse cell {cell!r} at data row {r + 1}, "
+                                     f"column {header[c]!r} as a float") from None
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, c = bad[0]
-        cell = rows[r][c + (c >= label_idx)]
-        raise ParseError(
-            f"{path}: non-finite cell {cell!r} at data row {r + 1}, "
-            f"column {feature_names[c]!r}"
-        )
-    return Dataset(features, labels, class_names, feature_names, label_name=label_name)
+        raise ParseError(f"{path}: non-finite cell {rows[r][c]!r} at data row {r + 1}, "
+                         f"column {header[c]!r}")
+    return Dataset(features, labels, list(class_index), header, label_name=label_name)
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write features (full-precision decimal) and label strings with a header."""
-    lines = [",".join(ds.feature_names + [ds.label_name])]
-    for i in range(ds.n_samples):
-        cells = [repr(float(v)) for v in ds.features[i]]
-        cells.append(ds.class_names[ds.labels[i]])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write features (full-precision decimal) and label strings with a header,
+    one row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(ds.feature_names + [ds.label_name]) + "\n")
+        for row, label in zip(ds.features, ds.labels):
+            fh.write(",".join([*map(repr, row.tolist()), ds.class_names[label]]) + "\n")
 
 
 def zscore_fit(train: Dataset) -> NormStats:

@@ -20,7 +20,7 @@ from . import layers as L
 from .errors import DataError, SchemaError, ShapeError, StateError, check_exact, schema_of
 from .data import Pipeline, read_text
 from .featcomb import CombinationSpec
-from .ndcore import RNG_ALGORITHM, Rng
+from .ndcore import RNG_ALGORITHM, SEED_LIMIT, Rng
 
 KIND_TCN = "tcn"
 KIND_LOGISTIC = "logistic"
@@ -240,6 +240,12 @@ def load_checkpoint(path) -> Checkpoint:
     check_exact(stats, {"mean": list, "std": list}, "checkpoint 'normalization_stats'")
     if not all(isinstance(e, dict) for e in doc["layers"]):
         raise SchemaError(f"checkpoint {path}: 'layers' must be a list of objects")
+    for key in ("feature_names", "class_names"):
+        names = doc[key]
+        if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+            raise SchemaError(f"checkpoint {path}: '{key}' must list distinct strings")
+    if not 0 <= doc["seed"] < SEED_LIMIT:
+        raise SchemaError(f"checkpoint {path}: 'seed' must be in [0, 2**64), got {doc['seed']}")
     stack = [L.layer_from_entry(e) for e in doc["layers"]]
 
     def numbers(values):  # NaN for a non-number or an int past float range; check() names it

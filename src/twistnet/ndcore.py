@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 RNG_ALGORITHM = "splitmix64"
+SEED_LIMIT = 1 << 64  # a seed is an integer in [0, SEED_LIMIT), so each names one stream
 
-_MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -33,7 +33,9 @@ class Rng:
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = int(seed)
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self._counter = 0
 
     def raw(self, n: int) -> np.ndarray:

@@ -31,7 +31,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def validate(self) -> None:
         if not 0 < self.learning_rate < np.inf:
@@ -174,7 +173,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     # a diverging run overflows inside the pass; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+            order = rng.permutation(n)
             total_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]

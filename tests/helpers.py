@@ -96,8 +96,19 @@ def combine_reference(x, subsets, approach):
     return np.array(out, dtype=np.float64).reshape(len(rows), len(subsets))
 
 
-# The expressions the layers computed before their one-pass rewrites, kept as
-# byte-for-byte references.
+# The expressions the layers and save_csv computed before their rewrites, kept
+# as byte-for-byte references.
+
+def save_csv_reference(ds):
+    """The text of ``ds`` as save_csv built it in one buffer: the header, then
+    each row's features as repr(float(v)) and its label string."""
+    lines = [",".join(ds.feature_names + [ds.label_name])]
+    for i in range(ds.n_samples):
+        cells = [repr(float(v)) for v in ds.features[i]]
+        cells.append(ds.class_names[ds.labels[i]])
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
 
 def batchnorm_moments_reference(x, epsilon):
     """Batch-path mean, biased variance and normalised block, by np.mean and

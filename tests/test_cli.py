@@ -90,6 +90,7 @@ def test_parse_run_config_collects_every_problem():
         "dataset": "d.csv",
         "label_column": "y",
         "kind": "svm",
+        "seed": -1,
         "model": {"hiden1": 5},
         "train": {"learning_rat": 0.01, "batch_size": "ten"},
     }
@@ -100,6 +101,7 @@ def test_parse_run_config_collects_every_problem():
     assert "learning_rat" in msg and "did you mean 'learning_rate'" in msg
     assert "batch_size" in msg and "int" in msg
     assert "svm" in msg
+    assert "'seed' must be in [0, 2**64), got -1" in msg
 
 
 def test_parse_run_config_requires_dataset_and_label():
@@ -165,6 +167,8 @@ def test_transform_missing_input(tmp_path, capsys):
     code = main(["transform", "--input", str(tmp_path / "nope.csv"),
                  "--output", str(tmp_path / "o.csv"), "--label-column", "label"])
     assert code == 2
+    assert "nope.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def with_cells(tmp_path, train_csv, cells, name):
@@ -303,6 +307,25 @@ def test_train_out_of_range_optimizer_setting_exits_1(tmp_path, train_csv, capsy
     assert not outdir.exists()
 
 
+def test_train_shuffle_each_epoch_is_an_unknown_key(tmp_path, train_csv, capsys):
+    code, outdir = run_train(tmp_path, train_csv, "noshuffle",
+                             extra={"train": {"shuffle_each_epoch": False}})
+    assert code == 1
+    assert "unknown key 'shuffle_each_epoch'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("seed, argv_extra", [(-1, ()), (2**64, ()),
+                                              (0, ("--seed", "-1")),
+                                              (0, ("--seed", str(2**64)))])
+def test_train_aliased_seed_exits_1(tmp_path, train_csv, capsys, seed, argv_extra):
+    code, outdir = run_train(tmp_path, train_csv, "badseed", extra={"seed": seed},
+                             argv_extra=argv_extra)
+    assert code == 1
+    assert "'seed' must be in [0, 2**64)" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("command, corrupted, code", [
     ("transform", "csv", 2), ("eval", "csv", 2), ("eval", "checkpoint", 2),
     ("train", "config", 1),
@@ -393,32 +416,32 @@ def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
 PINNED_SHA256 = {
     "default": (
         "2175d54d77e24c9b9492965eed1a3a165e071f557c0016dabb0bec8934a865c3",
-        "11fbe5d6897bb349874a55688a949eb149dbd7bd4d4b5b9b9e0ef50ddd4ad924",
+        "b07fff4142cd4a7bc7b2cc98ff8e64638039358be14083ec9e1238c6cb71fae7",
         "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
     ),
     "raw": (
         "a98e0c36faf38742338b335f90d4b7067b8da5f0e6d13a9907a567afe6e4ac35",
-        "80fb99d7b4390b84726007df27c6a00c8eb75468dbea13910f7218477627c5ac",
+        "4bf38b4ae4c2ecb316a591b2c18da9f4fef6584ca6474385fbcb2c7b80bbce1c",
         "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
     ),
     "pairwise_m3": (
         "9629700d546c1be679b9c27300b5c8d1b62449dcd7529eb2edeae7974c528b5e",
-        "d56d626e3c0d7b7c9ea7e54efb40a1151d6e3a8f29402af74efa57f4acd03375",
+        "21796b256635a049cf0dcf1ca94b6df0927cf29d60fecbcd7d1c6ca02bb7fe5a",
         "45d34f5387e80716075b30d3d5e939ea359f5dbef5a395853ec8c79ead73d8fe",
     ),
     "mlp": (
         "012e854a398fb372c3ea31194986907ffef26a757ec4f6eb984a264a1ab745bc",
-        "e6202d9c04ba83bc9394eba92366c54e5fb688b17c1dada2697aab361a10cafe",
+        "73af6ad9727ebb2932950e1ff03822b435a931ec5a99f66ce831b2f038e10c96",
         "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
     ),
     "cnn1d": (
         "eae0af3ce8ee9a54293868a8fbb56e310c4b1ab98a8a19fbebbe16a23711b0cd",
-        "f55a2456657f04a80416bcfa2fd37e84597efd153c2165da9383b8b21acc32f9",
+        "0f875e05a806c2c2aa504ccd57ba4676c8b48a831efaa0e2a74c8cae242db76d",
         "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
     ),
     "logistic": (
         "58d6ee2c4d39608fe599752eab15a9dfee75e4b6464454af2d7f64e0574559f6",
-        "10def8563efc19143fc958637d40826832a5b151ac875ecd86eb631d49bc6fad",
+        "a273a24a3a38fc73eb70d2ac1b66d980a2d0375fb05622e9c3f13f73524543af",
         "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
     ),
 }
@@ -655,6 +678,13 @@ MALFORMED_CHECKPOINTS = {
                                                "use_batchnorm": True}),
                     "unknown key 'config'"),
     "batchnorm_with_epsilon": (setting(1e-5, "layers", 2, "epsilon"), "unknown key 'epsilon'"),
+    "class_names_entry_object": (setting({}, "class_names", 0), "'class_names'"),
+    "class_names_repeated": (lambda d: d.update(class_names=["neg", "neg"]), "'class_names'"),
+    "feature_names_entry_number": (setting(5, "feature_names", 0), "'feature_names'"),
+    "feature_names_repeated": (setting("x0", "feature_names", 1), "'feature_names'"),
+    # a seed masked to 64 bits would alias another: 2**64 is 0, -1 is 2**64 - 1
+    "seed_2_64": (lambda d: d.update(seed=2**64), "'seed'"),
+    "seed_negative": (lambda d: d.update(seed=-1), "'seed'"),
 }
 
 

@@ -23,6 +23,8 @@ from twistnet.errors import DataError, ParseError, SchemaError
 from twistnet.featcomb import PAIRWISE_SUM, CombinationSpec
 from twistnet.ndcore import Rng
 
+from helpers import save_csv_reference
+
 
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
@@ -94,6 +96,10 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
         load_csv(p, "label")
     msg = str(exc.value)
     assert "data row 2" in msg and "'b'" in msg and "oops" in msg
+    # every cell is parsed before any is checked for being finite
+    p = write(tmp_path, "label,a\n0,1.0\n1,inf\n4,x\n", name="inf_first.csv")
+    with pytest.raises(ParseError, match="cannot parse cell 'x' at data row 3, column 'a'"):
+        load_csv(p, "label")
 
 
 def test_load_csv_non_finite_cell_names_row_and_column(tmp_path):
@@ -109,6 +115,16 @@ def test_load_csv_ragged_row_rejected(tmp_path):
     p = write(tmp_path, "a,b,label\n1.0,2.0,pos\n\n3.5,neg\n")  # blank lines are skipped
     with pytest.raises(ParseError, match="data row 2 has 2 cells, expected 3"):
         load_csv(p, "label")
+    # every row's width is checked before any cell is parsed
+    p = write(tmp_path, "a,b,label\n1.0,oops,pos\n3.5,neg\n", name="bad_cell_first.csv")
+    with pytest.raises(ParseError, match="data row 2 has 2 cells, expected 3"):
+        load_csv(p, "label")
+
+
+def test_load_csv_label_column_only(tmp_path):
+    ds = load_csv(write(tmp_path, "label\nb\na\nb\n"), "label")
+    assert ds.features.shape == (3, 0) and ds.feature_names == []
+    assert ds.class_names == ["b", "a"] and ds.labels.tolist() == [0, 1, 0]
 
 
 def test_load_csv_schema_errors(tmp_path):
@@ -149,6 +165,30 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     q = tmp_path / "round2.csv"
     save_csv(back, q)
     assert q.read_text() == p.read_text()
+
+
+def test_save_csv_bytes_match_reference(tmp_path):
+    feats = np.array([[-0.0, 5e-324, 1e308], [np.nan, np.inf, -np.inf], [3.0, -2.0, 1e16]])
+    ds = Dataset(feats, np.array([0, 1, 0]), ["neg class", "pos"], ["u", "v", "w"],
+                 label_name="my label")
+    p = tmp_path / "edge.csv"
+    save_csv(ds, p)
+    assert p.read_bytes() == save_csv_reference(ds).encode("utf-8")
+    assert p.read_text().splitlines()[1] == "-0.0,5e-324,1e+308,neg class"
+
+
+def test_save_csv_writes_row_by_row(tmp_path):
+    # the whole text of a 2000x40 block is about 1.6 MB; no copy of it is held
+    ds = synth_interaction(2000, 40, PRODUCT_SIGN, 0.1, Rng(0))
+    p = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        save_csv(ds, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.stat().st_size / 4
+    assert p.read_bytes() == save_csv_reference(ds).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ def test_raw_counter_continues_across_calls():
     assert first + second == splitmix64_reference(7, 10)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    # masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 would alias 0
+    with pytest.raises(ValueError, match=rf"\[0, 2\*\*64\), got {seed}"):
+        Rng(seed)
+
+
 def test_raw_negative_count_rejected():
     with pytest.raises(ValueError):
         Rng(0).raw(-1)

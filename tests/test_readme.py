@@ -1,7 +1,8 @@
 """The README describes the formats the code reads and writes: the
 checkpoint.json key table has the same keys, types and nullability; the
 run-config table names each section's fields with their defaults; the
-layer-entry sentence names every layer setting."""
+layer-entry sentence names every layer setting. Its Python quick start runs
+and prints the accuracy it claims."""
 
 import json
 import re
@@ -57,6 +58,13 @@ def test_readme_run_config_table_matches_sections(key, cls):
                   for item in meaning.split(";")[0].split(", "))
     want = {f.name: f.default for f in fields(cls) if f.name != "seed"}
     assert {name: json.loads(value) for name, value in listed.items()} == want
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8").split("## Quick start (Python)", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README quick start", "exec"), {})
+    assert float(capsys.readouterr().out.split()[-1]) >= 0.93
 
 
 def test_readme_layer_entry_sentence_names_every_setting():
