@@ -35,16 +35,16 @@ pair_mult = combine(x, 2, MULTIPLICATIVE)
 pair_sum = combine(x, 2, PAIRWISE_SUM)
 print("m=2 coincidence, max difference:", np.max(np.abs(pair_mult - pair_sum)))
 
-# Over the full feature set the pairwise sum has a closed form:
-# sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2) / 2.
+# Over the full feature set the pairwise sum is the global interaction term,
+# with a closed form: sum_{i<j} x_i x_j = ((sum x)^2 - sum x^2) / 2.
 full = combine(x, 4, PAIRWISE_SUM)[0, 0]
 closed = (x.sum() ** 2 - (x**2).sum()) / 2.0
 print(f"full-set pairwise {full} vs closed form {closed}")
 
 # transform_dataset also hands back the subsets, and can append the untouched
-# originals and that full-set pair sum as an "interaction" column.
+# originals after the combined columns.
 X = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
-spec = CombinationSpec(m=2, augment_original=True, append_global_interaction=True)
+spec = CombinationSpec(m=2, augment_original=True)
 out = transform_dataset(X, spec)
 names = combined_feature_names(out.subsets, spec, ["a", "b", "c"])
 print("columns:", names)

@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .data import Pipeline, combine, load_csv, read_text, save_csv
 from .errors import (
     CapacityError,
@@ -178,12 +180,12 @@ def cmd_train(args) -> int:
     train_metrics = evaluate(model, prepared)
     wall = time.perf_counter() - start
 
-    best = history.epochs[history.best_epoch - 1] if history.best_epoch else None
+    best = history.epochs[history.best_epoch - 1]
     final_metrics = {
         "train_accuracy": train_metrics.accuracy,
         "train_loss": train_metrics.mean_loss,
-        "val_accuracy": best.val_accuracy if best else None,
-        "val_loss": best.val_loss if best else None,
+        "val_accuracy": best.val_accuracy,
+        "val_loss": best.val_loss,
         "best_epoch": history.best_epoch,
         "stopped_epoch": history.stopped_epoch,
     }
@@ -210,7 +212,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    result = evaluate(ckpt.model, ckpt.apply(load_csv(args.input, ckpt.label_column)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
+        result = evaluate(ckpt.model, ckpt.apply(load_csv(args.input, ckpt.label_column)))
+    if not np.isfinite(result.mean_loss):
+        raise DataError(f"the model's output on {args.input} is not finite")
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True, allow_nan=False))
     return 0
 

@@ -83,17 +83,20 @@ def load_csv(path, label_column) -> Dataset:
 
     ``label_column`` is a header name or a zero-based column index; a string
     that names a header column is that column, even when it is all digits.
-    Label strings are encoded by first appearance.
+    Label strings are encoded by first appearance. Each data row stays one
+    string until it is parsed, so the cells never all exist at once.
     """
     path = Path(path)
-    rows = [ln.split(",") for ln in read_text(path).splitlines() if ln != ""]
+    rows = [ln for ln in read_text(path).splitlines() if ln != ""]
     if not rows:
         raise SchemaError(f"{path}: file is empty")
     header, *rows = rows
+    header = header.split(",")
     width = len(header)
     for i, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise ParseError(f"{path}: data row {i} has {len(row)} cells, expected {width}")
+        cells = row.count(",") + 1
+        if cells != width:
+            raise ParseError(f"{path}: data row {i} has {cells} cells, expected {width}")
 
     header = [h.strip() for h in header]
     if len(set(header)) < width:
@@ -110,12 +113,13 @@ def load_csv(path, label_column) -> Dataset:
             raise SchemaError(f"label column index {label_idx} out of range for {width} columns")
     else:
         raise SchemaError(f"label column {label_column!r} not found in header {header}")
-    label_name = header.pop(label_idx)  # from here on header and rows hold features only
+    label_name = header.pop(label_idx)  # from here on header holds features only
 
     features = np.empty((len(rows), width - 1))
     labels = np.empty(len(rows), dtype=np.int64)
     class_index: dict[str, int] = {}
-    for r, row in enumerate(rows):
+    for r, line in enumerate(rows):
+        row = line.split(",")
         labels[r] = class_index.setdefault(row.pop(label_idx).strip(), len(class_index))
         try:
             features[r] = [float(cell) for cell in row]
@@ -129,7 +133,9 @@ def load_csv(path, label_column) -> Dataset:
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, c = bad[0]
-        raise ParseError(f"{path}: non-finite cell {rows[r][c]!r} at data row {r + 1}, "
+        row = rows[r].split(",")
+        del row[label_idx]
+        raise ParseError(f"{path}: non-finite cell {row[c]!r} at data row {r + 1}, "
                          f"column {header[c]!r}")
     return Dataset(features, labels, list(class_index), header, label_name=label_name)
 
@@ -231,7 +237,7 @@ class Pipeline:
         if spec is not None:
             try:
                 spec.validate()
-                made = enumerate_subsets(len(names), spec.m, spec.max_combined)
+                made = enumerate_subsets(len(names), spec.m)
             except ValueError as exc:
                 raise DataError(f"'combination': {exc}") from None
             names = combined_feature_names(made, spec, names)

@@ -10,10 +10,12 @@ enumerated in lexicographic order and collapsed to a single combined value:
 Both operators are symmetric in the subset members, so reordering the input
 features permutes the combined columns but never changes their multiset.
 :func:`transform_dataset` applies one of them to every row of a batch, and
-can append the original features and a global interaction column, the sum
-over all i<j of x_i*x_j. It allocates the whole output once and fills the
-combined columns a block of rows at a time, each block about BLOCK_BYTES, so
-every member of every subset is folded into cells that are still in cache.
+can append the original features. It allocates the whole output once and
+fills the combined columns a block of rows at a time, each block about
+BLOCK_BYTES, so every member of every subset is folded into cells that are
+still in cache. The sum over all i<j of x_i*x_j, a global interaction term,
+is the pairwise_sum column at m = n. No expansion may enumerate more than
+MAX_COMBINED subsets.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import CapacityError, ShapeError
 MULTIPLICATIVE = "multiplicative"
 PAIRWISE_SUM = "pairwise_sum"
 APPROACHES = (MULTIPLICATIVE, PAIRWISE_SUM)
+MAX_COMBINED = 100000
 
 
 @dataclass
@@ -37,9 +40,7 @@ class CombinationSpec:
 
     m: int = 2
     approach: str = MULTIPLICATIVE
-    max_combined: int = 100000
     augment_original: bool = False
-    append_global_interaction: bool = False
 
     def validate(self) -> None:
         if self.m < 1:
@@ -48,8 +49,6 @@ class CombinationSpec:
             raise ValueError(f"unknown approach {self.approach!r}, expected one of {APPROACHES}")
         if self.approach == PAIRWISE_SUM and self.m < 2:
             raise ValueError("pairwise_sum needs m >= 2: a 1-subset has no pairs")
-        if self.max_combined < 1:
-            raise ValueError("max_combined must be >= 1")
 
 
 @dataclass
@@ -60,15 +59,16 @@ class CombinedFeatures:
     subsets: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def enumerate_subsets(n: int, m: int, max_combined: int = 100000) -> list[tuple[int, ...]]:
-    """All m-subsets of range(n) in lexicographic order."""
+def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
+    """All m-subsets of range(n) in lexicographic order; CapacityError past
+    MAX_COMBINED of them."""
     if m < 1:
         raise ValueError(f"subset size m must be >= 1, got {m}")
     if m > n:
         raise ValueError(f"m exceeds feature count: m={m}, n={n}")
     n_comb = math.comb(n, m)
-    if n_comb > max_combined:
-        raise CapacityError(f"C({n},{m}) = {n_comb} subsets exceeds cap {max_combined}")
+    if n_comb > MAX_COMBINED:
+        raise CapacityError(f"C({n},{m}) = {n_comb} subsets exceeds cap {MAX_COMBINED}")
     return list(combinations(range(n), m))
 
 
@@ -128,43 +128,32 @@ def combine_backward(x, subsets, approach: str, upstream) -> np.ndarray:
     return grad
 
 
-def _global_pair_sum_rows(x: np.ndarray) -> np.ndarray:
-    # sum_{i<j} x_i x_j accumulated with running prefix sums, one pass
-    prefix = np.cumsum(x, axis=1)
-    return np.sum(x[:, 1:] * prefix[:, :-1], axis=1)
-
-
 def transform_dataset(X, spec: CombinationSpec) -> CombinedFeatures:
-    """Expand a batch row-wise: combined columns, then originals, then the
-    global-interaction column, honoring the flags on ``spec``. ShapeError
-    unless ``X`` is 2-D, ValueError if an entry is not finite."""
+    """Expand a batch row-wise: combined columns, then the originals if
+    ``spec.augment_original``. ShapeError unless ``X`` is 2-D, ValueError if
+    an entry is not finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"features must be 2-D, got ndim={X.ndim}")
     if not np.isfinite(X).all():
         raise ValueError("features contain non-finite entries")
     spec.validate()
-    subsets = enumerate_subsets(X.shape[1], spec.m, spec.max_combined)
+    subsets = enumerate_subsets(X.shape[1], spec.m)
     n_sub = len(subsets)
-    width = n_sub + X.shape[1] * spec.augment_original + spec.append_global_interaction
-    values = np.empty((X.shape[0], width))
+    values = np.empty((X.shape[0], n_sub + X.shape[1] * spec.augment_original))
     _combine_rows(X, subsets, spec.approach, values[:, :n_sub])
     if spec.augment_original:
-        values[:, n_sub : n_sub + X.shape[1]] = X
-    if spec.append_global_interaction:
-        values[:, -1] = _global_pair_sum_rows(X)
+        values[:, n_sub:] = X
     return CombinedFeatures(values=values, subsets=subsets)
 
 
 def combined_feature_names(
     subsets, spec: CombinationSpec, original_names: list[str] | None = None
 ) -> list[str]:
-    """Generated headers: comb_<i>_<j>[_<k>], then originals, then interaction."""
+    """Generated headers: comb_<i>_<j>[_<k>], then the originals."""
     names = ["comb_" + "_".join(str(i) for i in s) for s in subsets]
     if spec.augment_original:
         if original_names is None:
             raise ValueError("augment_original requires the original feature names")
         names.extend(original_names)
-    if spec.append_global_interaction:
-        names.append("interaction")
     return names

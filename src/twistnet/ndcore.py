@@ -7,6 +7,8 @@ and run.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 RNG_ALGORITHM = "splitmix64"
@@ -33,6 +35,9 @@ class Rng:
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed: int):
+        # int() would truncate 3.7 to seed 3 and read True as seed 1
+        if isinstance(seed, bool) or not isinstance(seed, Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")

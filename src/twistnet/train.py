@@ -14,6 +14,13 @@ from .data import Dataset, stratified_split
 from .errors import CapacityError, DataError, ShapeError
 from .ndcore import Rng
 
+# Adam's moment decays and denominator floor (Kingma & Ba's defaults), the
+# L2 strength, and the share of the training rows held out for early stopping
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+L2_LAMBDA = 1e-4
+VAL_FRACTION = 0.1
 EARLY_STOP_MIN_DELTA = 1e-6
 GRAD_CHECK_MAX_PARAMS = 5000
 GRAD_CHECK_STEPS = (1e-5, 1e-4)  # each entry scores its best step; see grad_check_report
@@ -24,32 +31,18 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 10
     max_epochs: int = 200
-    l2_lambda: float = 1e-4
     early_stop_patience: int = 20
-    val_fraction: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if not 0 <= self.l2_lambda < np.inf:
-            raise ValueError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0 < self.adam_epsilon < np.inf:
-            raise ValueError(f"adam_epsilon must be finite and > 0, got {self.adam_epsilon}")
 
 
 class AdamState:
@@ -69,18 +62,20 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     m = b1*m + (1-b1)*g          v = b2*v + (1-b2)*g^2
     m_hat = m/(1-b1^t)           v_hat = v/(1-b2^t)
     p -= lr * m_hat / (sqrt(v_hat) + eps)
+
+    with b1, b2 and eps the module's BETA1, BETA2 and ADAM_EPSILON.
     """
     if not params.shape == grads.shape == state.m.shape:
         raise ShapeError(f"params {params.shape}, grads {grads.shape} and Adam state "
                          f"{state.m.shape} must align")
     state.t += 1
-    b1, b2, m, v = cfg.beta1, cfg.beta2, state.m, state.v
+    b1, b2, m, v = BETA1, BETA2, state.m, state.v
     m *= b1
     m += (1.0 - b1) * grads
     v *= b2
     v += (1.0 - b2) * grads * grads
     params -= (cfg.learning_rate * (m / (1.0 - b1 ** state.t))
-               / (np.sqrt(v / (1.0 - b2 ** state.t)) + cfg.adam_epsilon))
+               / (np.sqrt(v / (1.0 - b2 ** state.t)) + ADAM_EPSILON))
     return params, state
 
 
@@ -97,8 +92,8 @@ def l2_penalty(params: np.ndarray, mask: np.ndarray, lam: float) -> np.ndarray:
 class EpochRecord:
     epoch: int
     train_loss: float
-    val_loss: float | None
-    val_accuracy: float | None
+    val_loss: float
+    val_accuracy: float
 
 
 @dataclass
@@ -142,10 +137,10 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
                cfg: TrainConfig) -> tuple[M.ModelGraph, TrainHistory]:
     """Mini-batch Adam with L2 decay and patience-based early stopping.
 
-    A validation slice of ``val_fraction`` is carved off (stratified,
-    seeded). Training stops once validation loss has failed to improve by
-    at least 1e-6 for ``early_stop_patience`` consecutive epochs, and the
-    parameters from the best epoch are restored.
+    A stratified, seeded validation slice of VAL_FRACTION of the rows is
+    carved off. Training stops once validation loss has failed to improve
+    by at least EARLY_STOP_MIN_DELTA for ``early_stop_patience`` consecutive
+    epochs, and the parameters from the best epoch are restored.
     """
     cfg.validate()
     if train_set.n_samples == 0:
@@ -154,12 +149,9 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
         raise ValueError("training set must contain at least 2 classes")
 
     rng = Rng(cfg.seed)
-    if cfg.val_fraction > 0:
-        fit_set, val_set, _ = stratified_split(
-            train_set, (1.0 - cfg.val_fraction, cfg.val_fraction, 0.0), rng
-        )
-    else:
-        fit_set, val_set = train_set, None
+    fit_set, val_set, _ = stratified_split(
+        train_set, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0), rng
+    )
 
     params = model.params
     state = AdamState(params)
@@ -182,32 +174,26 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
                 _, cache = M.forward(model, xb, L.TRAIN, rng)
                 data_loss = M.loss_from_cache(cache, yb)
                 grads = M.backward(model, cache, yb)
-                grads += l2_penalty(params, model.l2_mask, cfg.l2_lambda)
+                grads += l2_penalty(params, model.l2_mask, L2_LAMBDA)
                 adam_step(params, grads, state, cfg)
                 total_loss += data_loss * len(idx)
             train_loss = total_loss / n
 
-            if val_set is not None:
-                val = evaluate(model, val_set)
-                record = EpochRecord(epoch, train_loss, val.mean_loss, val.accuracy)
-                improved = val.mean_loss < best_val - EARLY_STOP_MIN_DELTA
-            else:
-                record = EpochRecord(epoch, train_loss, None, None)
-                improved = True  # no validation signal: latest parameters are "best"
-            if not np.isfinite(train_loss) or not np.isfinite(record.val_loss or 0.0):
+            val = evaluate(model, val_set)
+            if not np.isfinite(train_loss) or not np.isfinite(val.mean_loss):
                 raise ValueError(f"training diverged at epoch {epoch}: the loss is not finite "
                                  f"(learning_rate {cfg.learning_rate:g})")
-            history.epochs.append(record)
+            history.epochs.append(EpochRecord(epoch, train_loss, val.mean_loss, val.accuracy))
 
-            if improved:
-                best_val = record.val_loss if val_set is not None else np.inf
+            if val.mean_loss < best_val - EARLY_STOP_MIN_DELTA:
+                best_val = val.mean_loss
                 best_epoch = epoch
                 best_params = params.copy()
                 stale = 0
             else:
                 stale += 1
             history.stopped_epoch = epoch
-            if val_set is not None and stale >= cfg.early_stop_patience:
+            if stale >= cfg.early_stop_patience:
                 break
 
     params[...] = best_params

@@ -45,8 +45,7 @@ def write_config(tmp_path, doc, name="run.json"):
 RUN_VARIANTS = {
     "default": {},
     "raw": {"combination": None},
-    "pairwise_m3": {"combination": {"m": 3, "approach": "pairwise", "augment_original": True,
-                                    "append_global_interaction": True}},
+    "pairwise_m3": {"combination": {"m": 3, "approach": "pairwise", "augment_original": True}},
     "mlp": {"kind": "mlp"},
     "cnn1d": {"kind": "cnn1d"},
     "logistic": {"kind": "logistic"},
@@ -300,10 +299,13 @@ def test_train_config_errors_exit_1(tmp_path, train_csv, capsys):
 @pytest.mark.filterwarnings("error")  # refused before any arithmetic, so no numpy warning
 def test_train_out_of_range_optimizer_setting_exits_1(tmp_path, train_csv, capsys,
                                                       name, value):
+    # only the learning rate is settable; the other Adam and L2 values are
+    # constants, so a config that sets one names an unknown key
     code, outdir = run_train(tmp_path, train_csv, "badopt",
                              extra={"train": {"max_epochs": 12, name: value}})
     assert code == 1
-    assert f"{name} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"{name} must be" if name == "learning_rate" else f"unknown key '{name}'") in err
     assert not outdir.exists()
 
 
@@ -312,6 +314,25 @@ def test_train_shuffle_each_epoch_is_an_unknown_key(tmp_path, train_csv, capsys)
                              extra={"train": {"shuffle_each_epoch": False}})
     assert code == 1
     assert "unknown key 'shuffle_each_epoch'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+# settings that are constants now, each with the value it is fixed at
+REMOVED_SETTINGS = [
+    ("train", "beta1", 0.9), ("train", "beta2", 0.999), ("train", "adam_epsilon", 1e-8),
+    ("train", "l2_lambda", 1e-4), ("train", "val_fraction", 0.1),
+    ("combination", "max_combined", 100000), ("combination", "append_global_interaction", False),
+]
+
+
+@pytest.mark.parametrize("section, name, value", REMOVED_SETTINGS,
+                         ids=[name for _, name, _ in REMOVED_SETTINGS])
+def test_train_removed_setting_is_an_unknown_key(tmp_path, train_csv, capsys,
+                                                 section, name, value):
+    code, outdir = run_train(tmp_path, train_csv, "removed",
+                             extra={section: {name: value}})
+    assert code == 1
+    assert f"{section}: unknown key '{name}'" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -415,33 +436,33 @@ def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
 # the numerics must leave every one of these bytes as it is.
 PINNED_SHA256 = {
     "default": (
-        "2175d54d77e24c9b9492965eed1a3a165e071f557c0016dabb0bec8934a865c3",
-        "b07fff4142cd4a7bc7b2cc98ff8e64638039358be14083ec9e1238c6cb71fae7",
+        "08419f1ac9cc1150dc58910b628e50f2c1934f1002562d14d9723cb7a68da368",
+        "be1697a80919dde006395dcbc6f8d9feb6f4c4e00986613f9ff95ace0b5989cd",
         "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
     ),
     "raw": (
         "a98e0c36faf38742338b335f90d4b7067b8da5f0e6d13a9907a567afe6e4ac35",
-        "4bf38b4ae4c2ecb316a591b2c18da9f4fef6584ca6474385fbcb2c7b80bbce1c",
+        "05e6d4e01bed1c321c629c54e275df178d45a08ef26d0450d6bbaeff9bcb0a6a",
         "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
     ),
     "pairwise_m3": (
-        "9629700d546c1be679b9c27300b5c8d1b62449dcd7529eb2edeae7974c528b5e",
-        "21796b256635a049cf0dcf1ca94b6df0927cf29d60fecbcd7d1c6ca02bb7fe5a",
-        "45d34f5387e80716075b30d3d5e939ea359f5dbef5a395853ec8c79ead73d8fe",
+        "8dc01b6ad9ffbea2d85375be1f957828b882a73d1cde1e3b93bc17a390998d2c",
+        "9e9fc4da1a15e73b66682cb65c15ef72373d7485134f03b8515e80e1b63bb470",
+        "19529d74068a02073740f64af72805d9da896b42a7311a25f8b871e78f93367c",
     ),
     "mlp": (
-        "012e854a398fb372c3ea31194986907ffef26a757ec4f6eb984a264a1ab745bc",
-        "73af6ad9727ebb2932950e1ff03822b435a931ec5a99f66ce831b2f038e10c96",
+        "c4a0fa1b4130eedd828e2a0438dbdefac6695c0dffc15e5b96b8a79c2896716b",
+        "07e857197d9a1f394f8184ebc18a298239f7c21d40d35c203bb193b34e11b40c",
         "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
     ),
     "cnn1d": (
-        "eae0af3ce8ee9a54293868a8fbb56e310c4b1ab98a8a19fbebbe16a23711b0cd",
-        "0f875e05a806c2c2aa504ccd57ba4676c8b48a831efaa0e2a74c8cae242db76d",
+        "78ffc69576373e0ebec0c903603abac6feeef9148de197c2b76a68ddfe46027f",
+        "799c370dd4238be6391454a9da92452553f0085bb60749c35d6d19358232179b",
         "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
     ),
     "logistic": (
-        "58d6ee2c4d39608fe599752eab15a9dfee75e4b6464454af2d7f64e0574559f6",
-        "a273a24a3a38fc73eb70d2ac1b66d980a2d0375fb05622e9c3f13f73524543af",
+        "8bffaf69c0679fd51d3d7751abe88d28d27b9d66c99e84d32b6c3fbccd783403",
+        "74bd95a7c9f165936578061611a2d2f9c1abdb49fa7ab94cd19027fb4acd36fd",
         "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
     ),
 }
@@ -634,6 +655,8 @@ HUGE_INT = "1" + "0" * 400
 MALFORMED_CHECKPOINTS = {
     "layer_without_values": (lambda d: d["layers"][0].pop("values"), "'values'"),
     "combination_unknown_key": (lambda d: d["combination"].update(mm=2), "mm"),
+    "combination_max_combined": (lambda d: d["combination"].update(max_combined=100000),
+                                 "unknown key 'max_combined'"),
     "unknown_layer_type": (lambda d: d["layers"][3].update(type="pooling"), "pooling"),
     "dropout_without_rate": (lambda d: d["layers"][4].pop("rate"), "'rate'"),
     "batchnorm_three_arrays": (lambda d: (d["layers"][2]["values"].pop(),
@@ -793,6 +816,25 @@ def test_train_diverged_run_exits_1(tmp_path, train_csv, capsys):
     assert not (outdir / "checkpoint.json").exists()
     err = capsys.readouterr().err
     assert "epoch 1:" in err and "1e+300" in err
+
+
+# valid checkpoints whose output overflows: one first-layer weight of 1e308,
+# or a z-score std so small that dividing by it overflows
+@pytest.mark.parametrize("edit", [setting(1e308, "layers", 0, "values", 0, 0, 0),
+                                  setting(1e-310, "normalization_stats", "std", 0)],
+                         ids=["weight_1e308", "std_1e-310"])
+@pytest.mark.filterwarnings("error")  # the data error is the only report, no numpy warning
+def test_eval_overflowing_model_exits_2(tmp_path, train_csv, capsys, edit):
+    ckpt, _ = trained(tmp_path, train_csv)
+    doc = json.loads(ckpt.read_text())
+    edit(doc)
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--input", str(train_csv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"twistnet: data error: the model's output on {train_csv} is not finite"]
 
 
 def test_eval_unknown_label_exit_2(tmp_path, train_csv, capsys):

@@ -191,6 +191,21 @@ def test_save_csv_writes_row_by_row(tmp_path):
     assert p.read_bytes() == save_csv_reference(ds).encode("utf-8")
 
 
+def test_load_csv_holds_no_string_per_cell(tmp_path):
+    # a string per cell of a 2000x12 file would cost several times its size
+    ds = synth_interaction(2000, 12, PRODUCT_SIGN, 0.1, Rng(0))
+    p = tmp_path / "rows.csv"
+    save_csv(ds, p)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(p, "label")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * p.stat().st_size
+    assert np.array_equal(loaded.features, ds.features)
+
+
 # ---------------------------------------------------------------------------
 # z-score normalization
 # ---------------------------------------------------------------------------
@@ -253,8 +268,7 @@ def test_zscore_population_std():
 # ---------------------------------------------------------------------------
 
 PIPELINE_SPECS = [None, CombinationSpec(m=2),
-                  CombinationSpec(m=3, approach=PAIRWISE_SUM, augment_original=True,
-                                  append_global_interaction=True)]
+                  CombinationSpec(m=3, approach=PAIRWISE_SUM, augment_original=True)]
 
 
 @pytest.mark.parametrize("spec", PIPELINE_SPECS)

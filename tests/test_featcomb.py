@@ -4,7 +4,8 @@ The combiners are reached through transform_dataset on one-row batches."""
 
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from twistnet.errors import CapacityError, ShapeError
 from twistnet.featcomb import (
     APPROACHES,
     BLOCK_BYTES,
+    MAX_COMBINED,
     MULTIPLICATIVE,
     PAIRWISE_SUM,
     CombinationSpec,
@@ -50,8 +52,11 @@ def test_enumerate_subsets_errors():
         enumerate_subsets(4, 0)
     with pytest.raises(ValueError):
         enumerate_subsets(3, 4)
+    assert MAX_COMBINED == 100000
+    with pytest.raises(CapacityError, match=r"C\(20,10\) = 184756 subsets exceeds cap 100000"):
+        enumerate_subsets(20, 10)
     with pytest.raises(CapacityError):
-        enumerate_subsets(30, 15, max_combined=1000)
+        enumerate_subsets(30, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +93,16 @@ def test_pairwise_sum_rejects_singletons():
 # ---------------------------------------------------------------------------
 # dual-route algebra
 # ---------------------------------------------------------------------------
+
+def test_global_interaction_matches_pair_sum():
+    # the global interaction term sum_{i<j} x_i x_j is the pairwise_sum
+    # column of the full feature set (m = n)
+    for seed in range(8):
+        r = np.random.default_rng(seed)
+        x = r.normal(size=int(r.integers(2, 15)))
+        want = sum(x[i] * x[j] for i, j in combinations(range(len(x)), 2))
+        assert rel_err(combine_row(x, len(x), PAIRWISE_SUM)[0], want) < 1e-12
+
 
 def test_full_set_pairwise_equals_square_identity():
     # one subset covering everything: sum_{i<j} x_i x_j == ((sum x)^2 - sum x^2) / 2
@@ -181,20 +196,6 @@ def test_backward_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# global interaction
-# ---------------------------------------------------------------------------
-
-def test_global_interaction_matches_pair_sum():
-    # the appended interaction column is the pairwise sum over the full set
-    for seed in range(8):
-        r = np.random.default_rng(seed)
-        x = r.normal(size=int(r.integers(2, 15)))
-        spec = CombinationSpec(m=1, append_global_interaction=True)
-        got = transform_dataset(x.reshape(1, -1), spec).values[0, -1]
-        assert rel_err(got, combine_row(x, len(x), PAIRWISE_SUM)[0]) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # CombinationSpec and batch transform
 # ---------------------------------------------------------------------------
 
@@ -203,7 +204,7 @@ def test_spec_defaults_and_roundtrip():
     assert spec.m == 2
     assert spec.approach == MULTIPLICATIVE
     assert not spec.augment_original
-    assert not spec.append_global_interaction
+    assert [f.name for f in fields(CombinationSpec)] == ["m", "approach", "augment_original"]
     assert CombinationSpec(**asdict(spec)) == spec
 
 
@@ -215,11 +216,9 @@ def test_spec_validate_errors():
     with pytest.raises(ValueError):
         CombinationSpec(m=1, approach=PAIRWISE_SUM).validate()
     with pytest.raises(ValueError):
-        CombinationSpec(max_combined=0).validate()
-    with pytest.raises(ValueError):
         transform_dataset(np.ones((1, 4)), CombinationSpec(m=5))
     with pytest.raises(CapacityError):
-        transform_dataset(np.ones((1, 25)), CombinationSpec(m=10, max_combined=100))
+        transform_dataset(np.ones((1, 25)), CombinationSpec(m=10))
 
 
 def test_output_dim_accounting():
@@ -230,8 +229,6 @@ def test_output_dim_accounting():
 
     assert width(CombinationSpec(m=2)) == 10
     assert width(CombinationSpec(m=2, augment_original=True)) == 15
-    assert width(CombinationSpec(m=2, augment_original=True,
-                                 append_global_interaction=True)) == 16
 
 
 def test_transform_shapes():
@@ -290,12 +287,11 @@ def test_transform_matches_reference_bytes(m, approach, n):
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-@pytest.mark.parametrize("flags", [{}, {"augment_original": True},
-                                   {"append_global_interaction": True}],
-                         ids=["combined_only", "augment", "interaction"])
+@pytest.mark.parametrize("flags", [{}, {"augment_original": True}],
+                         ids=["combined_only", "augment"])
 def test_transform_allocates_one_block(approach, flags):
-    # the originals and the interaction column go into slices of the one
-    # output block; the row blocks' temporaries stay small beside it
+    # the originals go into a slice of the one output block; the row
+    # blocks' temporaries stay small beside it
     X = np.random.default_rng(5).normal(size=(1000, 30))
     tracemalloc.start()
     try:
@@ -304,15 +300,6 @@ def test_transform_allocates_one_block(approach, flags):
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * values.nbytes
-
-
-def test_transform_interaction_column():
-    X = np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 0.5]])
-    spec = CombinationSpec(m=2, append_global_interaction=True)
-    out = transform_dataset(X, spec)
-    assert out.values.shape == (2, 4)
-    assert out.values[0, 3] == 11.0
-    assert out.values[1, 3] == -2.5
 
 
 def test_transform_rejects_non_finite():
@@ -333,9 +320,9 @@ def test_combined_feature_names():
     subs = enumerate_subsets(3, 2)
     spec = CombinationSpec(m=2)
     assert combined_feature_names(subs, spec) == ["comb_0_1", "comb_0_2", "comb_1_2"]
-    spec = CombinationSpec(m=2, augment_original=True, append_global_interaction=True)
+    spec = CombinationSpec(m=2, augment_original=True)
     names = combined_feature_names(subs, spec, original_names=["a", "b", "c"])
-    assert names == ["comb_0_1", "comb_0_2", "comb_1_2", "a", "b", "c", "interaction"]
+    assert names == ["comb_0_1", "comb_0_2", "comb_1_2", "a", "b", "c"]
     with pytest.raises(ValueError):
         combined_feature_names(subs, CombinationSpec(m=2, augment_original=True))
 

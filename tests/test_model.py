@@ -349,7 +349,7 @@ def test_predict_invariant_to_uniform_logit_shift():
 
 def test_m2_approaches_train_bit_identical_models():
     raw = synth_interaction(60, 4, PRODUCT_SIGN, 0.1, Rng(0))
-    cfg = TrainConfig(max_epochs=3, batch_size=10, seed=0, val_fraction=0.1)
+    cfg = TrainConfig(max_epochs=3, batch_size=10, seed=0)
     results = []
     for approach in (MULTIPLICATIVE, PAIRWISE_SUM):
         combined = transform_dataset(raw.features, CombinationSpec(m=2, approach=approach))

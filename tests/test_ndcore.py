@@ -44,6 +44,17 @@ def test_seed_outside_64_bits_rejected(seed):
         Rng(seed)
 
 
+@pytest.mark.parametrize("seed", [3.7, True])
+def test_seed_not_an_integer_rejected(seed):
+    # int() would read 3.7 as seed 3 and True as seed 1
+    with pytest.raises(ValueError, match=rf"seed must be an integer, got {seed}"):
+        Rng(seed)
+
+
+def test_numpy_integer_seed_is_that_seed():
+    assert np.array_equal(Rng(np.uint64(7)).raw(3), Rng(7).raw(3))
+
+
 def test_raw_negative_count_rejected():
     with pytest.raises(ValueError):
         Rng(0).raw(-1)

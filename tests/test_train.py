@@ -1,6 +1,6 @@
 """Adam, L2, the training loop, metrics, and the gradient-check harness."""
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,8 +19,13 @@ from twistnet.model import (
 )
 from twistnet.ndcore import Rng
 from twistnet.train import (
+    ADAM_EPSILON,
+    BETA1,
+    BETA2,
     EARLY_STOP_MIN_DELTA,
     GRAD_CHECK_MAX_PARAMS,
+    L2_LAMBDA,
+    VAL_FRACTION,
     AdamState,
     TrainConfig,
     adam_step,
@@ -43,20 +48,20 @@ def test_train_config_defaults():
     assert cfg.learning_rate == 0.001
     assert cfg.batch_size == 10
     assert cfg.max_epochs == 200
-    assert cfg.l2_lambda == 1e-4
     assert cfg.early_stop_patience == 20
-    assert cfg.val_fraction == 0.1
-    assert (cfg.beta1, cfg.beta2, cfg.adam_epsilon) == (0.9, 0.999, 1e-8)
+    assert [f.name for f in fields(TrainConfig)] == [
+        "learning_rate", "batch_size", "max_epochs", "early_stop_patience", "seed"]
+    assert L2_LAMBDA == 1e-4
+    assert VAL_FRACTION == 0.1
+    assert (BETA1, BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
     cfg.validate()
 
 
 def test_train_config_validation():
     for bad in (
         TrainConfig(learning_rate=0.0),
-        TrainConfig(val_fraction=1.0),
         TrainConfig(batch_size=0),
         TrainConfig(max_epochs=0),
-        TrainConfig(l2_lambda=-1e-4),
         TrainConfig(early_stop_patience=0),
     ):
         with pytest.raises(ValueError):
@@ -215,8 +220,7 @@ def test_evaluate_empty_rejected():
 def test_train_loop_fits_separable_task():
     ds = sign_dataset(80, seed=3)
     model = build_baseline(KIND_LOGISTIC, 1, 2, ModelConfig(seed=0))
-    cfg = TrainConfig(learning_rate=0.05, max_epochs=60, batch_size=10,
-                      val_fraction=0.1, seed=0)
+    cfg = TrainConfig(learning_rate=0.05, max_epochs=60, batch_size=10, seed=0)
     model, history = train_loop(model, ds, cfg)
     assert evaluate(model, ds).accuracy == 1.0
     assert history.best_epoch >= 1
@@ -240,7 +244,7 @@ def test_train_loop_early_stops_without_signal():
     labels = np.asarray(r.integers(0, 2, size=100))  # pure noise
     ds = Dataset(x, labels, ["a", "b"], ["f0", "f1"])
     model = build_baseline(KIND_LOGISTIC, 2, 2, ModelConfig(seed=5))
-    cfg = TrainConfig(max_epochs=200, early_stop_patience=3, val_fraction=0.2, seed=5)
+    cfg = TrainConfig(max_epochs=200, early_stop_patience=3, seed=5)
     model, history = train_loop(model, ds, cfg)
     assert history.stopped_epoch < 200
     assert len(history.epochs) == history.stopped_epoch
@@ -252,10 +256,13 @@ def test_train_loop_restores_best_epoch_parameters():
     labels = np.asarray(r.integers(0, 2, size=100))
     ds = Dataset(x, labels, ["a", "b"], ["f0", "f1"])
     model = build_baseline(KIND_LOGISTIC, 2, 2, ModelConfig(seed=6))
-    cfg = TrainConfig(max_epochs=40, early_stop_patience=5, val_fraction=0.2, seed=6)
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=40, early_stop_patience=5, seed=6)
     model, history = train_loop(model, ds, cfg)
+    # an early stop, so the restored parameters are not the last epoch's
+    assert history.best_epoch < history.stopped_epoch < cfg.max_epochs
     # rebuild the exact validation slice train_loop carved off
-    _, val_set, _ = stratified_split(ds, (0.8, 0.2, 0.0), Rng(cfg.seed))
+    _, val_set, _ = stratified_split(ds, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0),
+                                     Rng(cfg.seed))
     recorded = history.epochs[history.best_epoch - 1].val_loss
     assert abs(evaluate(model, val_set).mean_loss - recorded) < 1e-12
     best = min(e.val_loss for e in history.epochs)
@@ -267,20 +274,12 @@ def test_train_loop_losses_decrease_early():
     for seed in range(5):
         ds = sign_dataset(80, seed=10 + seed)
         model = build_baseline(KIND_LOGISTIC, 1, 2, ModelConfig(seed=seed))
-        cfg = TrainConfig(learning_rate=0.05, max_epochs=5, val_fraction=0.1, seed=seed)
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=5, seed=seed)
         _, history = train_loop(model, ds, cfg)
         losses = [e.train_loss for e in history.epochs]
         if all(b <= a for a, b in zip(losses, losses[1:])):
             ok += 1
     assert ok >= 4
-
-
-def test_train_loop_without_validation_slice():
-    ds = sign_dataset(40, seed=7)
-    model = build_baseline(KIND_LOGISTIC, 1, 2, ModelConfig(seed=7))
-    model, history = train_loop(model, ds, TrainConfig(max_epochs=5, val_fraction=0.0, seed=7))
-    assert all(e.val_loss is None and e.val_accuracy is None for e in history.epochs)
-    assert history.best_epoch == history.stopped_epoch == 5
 
 
 def test_train_loop_input_validation():
