@@ -66,7 +66,6 @@ _TOP_FIELDS = {
     "output_dir": str,
     "kind": str,
     "seed": int,
-    "model": dict,
     "combination": (dict, type(None)),
     "train": dict,
 }
@@ -81,7 +80,6 @@ class RunConfig:
     output_dir: str = "."
     kind: str = KIND_TCN
     seed: int = 0
-    model: ModelConfig = field(default_factory=ModelConfig)
     combination: CombinationSpec | None = field(default_factory=CombinationSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -94,20 +92,19 @@ def normalize_approach(token: str) -> str:
     return _APPROACH_TOKENS[token]
 
 
-def parse_run_config(doc, seed: int | None = None) -> RunConfig:
+def parse_run_config(doc, seed: int | None = None, output_dir: str | None = None) -> RunConfig:
     """Validate a run-config JSON document. Unknown keys are errors, never
     warnings, and every offending key is reported in one pass. A ``seed``
-    overrides the document's."""
+    or an ``output_dir`` overrides the document's."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     problems: list[str] = []
     top = check_keys(doc, _TOP_FIELDS, problems, required=("dataset", "label_column"))
     # the seed is set once, at the top level, so the sections do not accept it
-    model_doc, train_doc, comb_doc = (
+    train_doc, comb_doc = (
         check_keys(top.get(name) or {},
                    {k: t for k, t in schema_of(cls).items() if k != "seed"}, problems, name)
-        for name, cls in (("model", ModelConfig), ("train", TrainConfig),
-                          ("combination", CombinationSpec))
+        for name, cls in (("train", TrainConfig), ("combination", CombinationSpec))
     )
 
     kind = top.get("kind", KIND_TCN)
@@ -121,35 +118,37 @@ def parse_run_config(doc, seed: int | None = None) -> RunConfig:
     seed = top.get("seed", 0) if seed is None else seed
     if not 0 <= seed < SEED_LIMIT:
         problems.append(f"'seed' must be in [0, 2**64), got {seed}")
+    output_dir = top.get("output_dir", ".") if output_dir is None else output_dir
+    if not output_dir:
+        problems.append("'output_dir' must name a directory, got ''")
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
     return RunConfig(
         dataset=top["dataset"],
         label_column=top["label_column"],
-        output_dir=top.get("output_dir", "."),
+        output_dir=output_dir,
         kind=kind,
         seed=seed,
-        model=ModelConfig(seed=seed, **model_doc),
         combination=None if top.get("combination", {}) is None else CombinationSpec(**comb_doc),
         train=TrainConfig(seed=seed, **train_doc),
     )
 
 
-def load_run_config(path, seed: int | None = None) -> RunConfig:
+def load_run_config(path, seed: int | None = None, output_dir: str | None = None) -> RunConfig:
     try:
         doc = json.loads(read_text(path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return parse_run_config(doc, seed)
+    return parse_run_config(doc, seed, output_dir)
 
 
-def _build_model(rc: RunConfig, input_dim: int, n_classes: int):
-    if rc.kind == KIND_TCN:
-        return build_tcn(input_dim, n_classes, rc.model)
-    return build_baseline(rc.kind, input_dim, n_classes, rc.model)
+def _build_model(kind: str, cfg: ModelConfig, input_dim: int, n_classes: int):
+    if kind == KIND_TCN:
+        return build_tcn(input_dim, n_classes, cfg)
+    return build_baseline(kind, input_dim, n_classes, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +168,12 @@ def cmd_transform(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    if args.output is not None:
-        rc.output_dir = args.output
+    rc = load_run_config(args.config, args.seed, args.output)
 
     start = time.perf_counter()
     pipeline, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
-    model = _build_model(rc, prepared.n_features, prepared.n_classes)
+    model_config = ModelConfig(seed=rc.seed)
+    model = _build_model(rc.kind, model_config, prepared.n_features, prepared.n_classes)
     model, history = train_loop(model, prepared, rc.train)
     train_metrics = evaluate(model, prepared)
     wall = time.perf_counter() - start
@@ -190,7 +188,7 @@ def cmd_train(args) -> int:
         "stopped_epoch": history.stopped_epoch,
     }
     config = asdict(rc)
-    del config["model"]["seed"], config["train"]["seed"]  # set once, at the top
+    del config["train"]["seed"]  # set once, at the top
     results = {
         "config": config,
         "history": [asdict(record) for record in history.epochs],
@@ -200,7 +198,7 @@ def cmd_train(args) -> int:
     }
 
     results_text = json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    ckpt = Checkpoint(**vars(pipeline), model=model, config=rc.model, seed=rc.seed)
+    ckpt = Checkpoint(**vars(pipeline), model=model, config=model_config, seed=rc.seed)
 
     os.makedirs(rc.output_dir, exist_ok=True)
     save_checkpoint(os.path.join(rc.output_dir, "checkpoint.json"), ckpt)
@@ -223,7 +221,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     rc = load_run_config(args.config, args.seed)
     _, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
-    model = _build_model(rc, prepared.n_features, prepared.n_classes)
+    model = _build_model(rc.kind, ModelConfig(seed=rc.seed), prepared.n_features,
+                         prepared.n_classes)
     batch, labels = find_check_batch(model, prepared.features, prepared.labels)
     overall, per_kind = grad_check_report(model, batch, labels,
                                           corruption=args.corrupt_gradient)

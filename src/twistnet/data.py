@@ -231,8 +231,8 @@ class Pipeline:
 
     def check(self) -> None:
         """DataError unless the combination is valid for the features and the
-        stats hold one finite mean and one finite std above 0 per combined
-        column."""
+        stats hold one finite mean and one finite std of at least
+        ``ZSCORE_STD_FLOOR``, the least std a fit keeps, per combined column."""
         spec, names = self.combination, self.feature_names
         if spec is not None:
             try:
@@ -245,11 +245,11 @@ class Pipeline:
             raise DataError(f"normalization stats have {len(self.norm_mean)} means and "
                             f"{len(self.norm_std)} stds for {len(names)} combined columns")
         for key, values, floor in (("mean", self.norm_mean, -np.inf),
-                                   ("std", self.norm_std, 0.0)):
-            bad = np.flatnonzero(~((values > floor) & (values < np.inf)))
+                                   ("std", self.norm_std, ZSCORE_STD_FLOOR)):
+            bad = np.flatnonzero(~(np.isfinite(values) & (values >= floor)))
             if bad.size:
                 raise DataError(f"normalization stats: {key!r} of column {names[bad[0]]!r} "
-                                f"is {values[bad[0]]}, not a finite number above {floor}")
+                                f"is {values[bad[0]]}, not a finite number of at least {floor}")
 
 
 def stratified_split(ds: Dataset, fractions, rng: Rng) -> tuple[Dataset, Dataset, Dataset]:

@@ -261,7 +261,7 @@ class Dropout(Layer):
     kind = "dropout"
     settings = {"rate": float}
 
-    def __init__(self, rate: float = 0.5):
+    def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate

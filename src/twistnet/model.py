@@ -1,17 +1,18 @@
 """Model graphs: the feature-combination network and its baselines.
 
 The main stack takes an already-combined (and normalized) feature block and
-runs: feature-transformation dense (relu, width hidden1), a run of
-dimension-preserving residual blocks, batch norm, relu, dropout, a dense
-refinement (relu, width hidden2), and an identity dense head whose width is
-the class count, finished by softmax cross-entropy.
+runs: feature-transformation dense (relu, width ``HIDDEN1``), one
+dimension-preserving residual block, batch norm, relu, dropout at
+``DROPOUT_RATE``, a dense refinement (relu, width ``HIDDEN2``), and an
+identity dense head whose width is the class count, finished by softmax
+cross-entropy.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +36,17 @@ CHECKPOINT_FORMAT_KEYS = {
 }
 
 
+# the reference stack's shape
+HIDDEN1 = 20  # feature-transformation and residual width
+HIDDEN2 = 10  # dense refinement width
+DROPOUT_RATE = 0.5
+
+
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters; defaults follow the reference stack."""
+    """The seed every weight of a built model is drawn from."""
 
-    hidden1: int = 20
-    hidden2: int = 10
-    n_residual_blocks: int = 1
-    dropout_rate: float = 0.5
-    use_batchnorm: bool = True
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.hidden1 < 1 or self.hidden2 < 1:
-            raise ValueError("hidden widths must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.n_residual_blocks < 0:
-            raise ValueError("n_residual_blocks must be >= 0")
 
 
 @dataclass
@@ -95,40 +89,38 @@ class ModelGraph:
         return self.params.size
 
 
-def build_tcn(input_dim_after_combination: int, n_classes: int,
-              cfg: ModelConfig, rng: Rng | None = None) -> ModelGraph:
-    """Assemble the full stack; all weights drawn from cfg.seed by default."""
-    cfg.validate()
+def _reference_stack(input_dim: int, n_classes: int, rng: Rng, residual: bool) -> list:
+    """The TCN's layers, weights drawn in stack order; the mlp baseline is
+    the same stack without its residual block."""
+    if input_dim < 1:
+        raise ValueError("input dimension must be >= 1")
+    stack = [L.Dense.init(input_dim, HIDDEN1, rng, "relu")]
+    if residual:
+        stack.append(L.ResidualBlock.init(HIDDEN1, rng))
+    return stack + [L.BatchNorm.init(HIDDEN1), L.ReLULayer(), L.Dropout(DROPOUT_RATE),
+                    L.Dense.init(HIDDEN1, HIDDEN2, rng, "relu"),
+                    L.Dense.init(HIDDEN2, n_classes, rng, "identity")]
+
+
+def build_tcn(input_dim_after_combination: int, n_classes: int, cfg: ModelConfig) -> ModelGraph:
+    """Assemble the reference stack, all weights drawn from ``Rng(cfg.seed)``."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if input_dim_after_combination < 1:
-        raise ValueError("input dimension must be >= 1")
-    rng = rng if rng is not None else Rng(cfg.seed)
-    stack: list = [L.Dense.init(input_dim_after_combination, cfg.hidden1, rng, "relu")]
-    for _ in range(cfg.n_residual_blocks):
-        stack.append(L.ResidualBlock.init(cfg.hidden1, rng))
-    if cfg.use_batchnorm:
-        stack.append(L.BatchNorm.init(cfg.hidden1))
-    stack.append(L.ReLULayer())
-    stack.append(L.Dropout(cfg.dropout_rate))
-    stack.append(L.Dense.init(cfg.hidden1, cfg.hidden2, rng, "relu"))
-    stack.append(L.Dense.init(cfg.hidden2, n_classes, rng, "identity"))
+    stack = _reference_stack(input_dim_after_combination, n_classes, Rng(cfg.seed), residual=True)
     return ModelGraph(KIND_TCN, input_dim_after_combination, n_classes, stack)
 
 
-def build_baseline(kind: str, input_dim: int, n_classes: int,
-                   cfg: ModelConfig, rng: Rng | None = None) -> ModelGraph:
-    """Comparison models: plain logistic, the same widths without residuals
-    or combination, and a small 1-D conv net."""
-    cfg.validate()
+def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) -> ModelGraph:
+    """Comparison models: plain logistic, the reference stack without its
+    residual block or combination, and a small 1-D conv net; all weights
+    drawn from ``Rng(cfg.seed)``."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    rng = rng if rng is not None else Rng(cfg.seed)
+    rng = Rng(cfg.seed)
     if kind == KIND_LOGISTIC:
         stack = [L.Dense.init(input_dim, n_classes, rng, "identity")]
     elif kind == KIND_MLP:
-        tcn = build_tcn(input_dim, n_classes, replace(cfg, n_residual_blocks=0), rng)
-        return replace(tcn, kind=KIND_MLP)
+        stack = _reference_stack(input_dim, n_classes, rng, residual=False)
     elif kind == KIND_CNN1D:
         width = 3
         if input_dim < width:
@@ -136,8 +128,8 @@ def build_baseline(kind: str, input_dim: int, n_classes: int,
         conv = L.Conv1D.init(8, width, rng)
         flat = conv.n_kernels * conv.output_length(input_dim)
         stack = [conv, L.ReLULayer(),
-                 L.Dense.init(flat, cfg.hidden2, rng, "relu"),
-                 L.Dense.init(cfg.hidden2, n_classes, rng, "identity")]
+                 L.Dense.init(flat, HIDDEN2, rng, "relu"),
+                 L.Dense.init(HIDDEN2, n_classes, rng, "identity")]
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     return ModelGraph(kind, input_dim, n_classes, stack)

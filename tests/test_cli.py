@@ -24,6 +24,7 @@ from twistnet.featcomb import (
     transform_dataset,
 )
 from twistnet.data import PRODUCT_SIGN
+from twistnet.model import DROPOUT_RATE, HIDDEN1, HIDDEN2
 from twistnet.ndcore import Rng
 
 
@@ -69,7 +70,7 @@ def test_parse_run_config_defaults():
     rc = parse_run_config({"dataset": "d.csv", "label_column": "label"})
     assert rc.kind == "tcn" and rc.seed == 0 and rc.output_dir == "."
     assert rc.combination == CombinationSpec()  # combining is the default
-    assert rc.model.hidden1 == 20 and rc.train.max_epochs == 200
+    assert (HIDDEN1, HIDDEN2, DROPOUT_RATE) == (20, 10, 0.5) and rc.train.max_epochs == 200
 
 
 def test_parse_run_config_null_combination():
@@ -79,9 +80,9 @@ def test_parse_run_config_null_combination():
 
 def test_parse_run_config_seed_propagates():
     rc = parse_run_config({"dataset": "d.csv", "label_column": "y", "seed": 9})
-    assert rc.seed == 9 and rc.model.seed == 9 and rc.train.seed == 9
+    assert rc.seed == 9 and rc.train.seed == 9
     rc = parse_run_config({"dataset": "d.csv", "label_column": "y", "seed": 9}, seed=2)
-    assert rc.seed == 2 and rc.model.seed == 2 and rc.train.seed == 2
+    assert rc.seed == 2 and rc.train.seed == 2
 
 
 def test_parse_run_config_collects_every_problem():
@@ -96,7 +97,7 @@ def test_parse_run_config_collects_every_problem():
     with pytest.raises(ConfigError) as exc:
         parse_run_config(doc)
     msg = str(exc.value)
-    assert "hiden1" in msg and "did you mean 'hidden1'" in msg
+    assert "unknown key 'model'" in msg
     assert "learning_rat" in msg and "did you mean 'learning_rate'" in msg
     assert "batch_size" in msg and "int" in msg
     assert "svm" in msg
@@ -336,6 +337,31 @@ def test_train_removed_setting_is_an_unknown_key(tmp_path, train_csv, capsys,
     assert not outdir.exists()
 
 
+# the reference stack's shape is constants now, so the section is gone
+@pytest.mark.parametrize("section", [{}, {"hidden1": 20, "hidden2": 10, "n_residual_blocks": 1,
+                                          "dropout_rate": 0.5, "use_batchnorm": True}],
+                         ids=["empty", "defaults"])
+def test_train_model_section_is_an_unknown_key(tmp_path, train_csv, capsys, section):
+    code, outdir = run_train(tmp_path, train_csv, "model", extra={"model": section})
+    assert code == 1
+    assert "unknown key 'model'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("extra, argv_extra", [({"output_dir": ""}, ()),
+                                               (None, ("--output", ""))],
+                         ids=["config", "flag"])
+def test_train_empty_output_dir_exits_1(tmp_path, train_csv, capsys, monkeypatch,
+                                        extra, argv_extra):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("twistnet.cli.load_csv", lambda *a: pytest.fail("read the data"))
+    before = set(tmp_path.rglob("*"))
+    code, _ = run_train(tmp_path, train_csv, "empty", extra=extra, argv_extra=argv_extra)
+    assert code == 1
+    assert "'output_dir'" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before | {tmp_path / "empty.json"}  # just the config
+
+
 @pytest.mark.parametrize("seed, argv_extra", [(-1, ()), (2**64, ()),
                                               (0, ("--seed", "-1")),
                                               (0, ("--seed", str(2**64)))])
@@ -437,32 +463,32 @@ def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
 PINNED_SHA256 = {
     "default": (
         "08419f1ac9cc1150dc58910b628e50f2c1934f1002562d14d9723cb7a68da368",
-        "be1697a80919dde006395dcbc6f8d9feb6f4c4e00986613f9ff95ace0b5989cd",
+        "494678647119e773b42812c560857bec86a04e0376e61a483952c3c8d84376a3",
         "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
     ),
     "raw": (
         "a98e0c36faf38742338b335f90d4b7067b8da5f0e6d13a9907a567afe6e4ac35",
-        "05e6d4e01bed1c321c629c54e275df178d45a08ef26d0450d6bbaeff9bcb0a6a",
+        "187de40e37485aa2451cb569c62468dcd4f9ebeffb7004aaad7345587b1491fc",
         "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
     ),
     "pairwise_m3": (
         "8dc01b6ad9ffbea2d85375be1f957828b882a73d1cde1e3b93bc17a390998d2c",
-        "9e9fc4da1a15e73b66682cb65c15ef72373d7485134f03b8515e80e1b63bb470",
+        "92645e6282e1184e15462755456269735ba35c6317bc12061154af74ae656123",
         "19529d74068a02073740f64af72805d9da896b42a7311a25f8b871e78f93367c",
     ),
     "mlp": (
         "c4a0fa1b4130eedd828e2a0438dbdefac6695c0dffc15e5b96b8a79c2896716b",
-        "07e857197d9a1f394f8184ebc18a298239f7c21d40d35c203bb193b34e11b40c",
+        "3de4e9c4d33cd40db728ca160521c284a3e0c8e10023a877b13145032ca2922a",
         "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
     ),
     "cnn1d": (
         "78ffc69576373e0ebec0c903603abac6feeef9148de197c2b76a68ddfe46027f",
-        "799c370dd4238be6391454a9da92452553f0085bb60749c35d6d19358232179b",
+        "2e0df3eebc1caffd8cc52f892dd222f8542946787eec674e99ad2862ba5b5def",
         "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
     ),
     "logistic": (
         "8bffaf69c0679fd51d3d7751abe88d28d27b9d66c99e84d32b6c3fbccd783403",
-        "74bd95a7c9f165936578061611a2d2f9c1abdb49fa7ab94cd19027fb4acd36fd",
+        "0f7e7d2cdc2e4315bd91c254ef0da152360dc5453fc92d2a3ac304af9a53d95f",
         "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
     ),
 }
@@ -688,6 +714,12 @@ MALFORMED_CHECKPOINTS = {
     "stats_std_zero": (setting(0.0, "normalization_stats", "std", 0), "'std'"),
     "stats_std_negative": (setting(-2.0, "normalization_stats", "std", 1), "'std'"),
     "stats_std_1e999": (setting(OVERFLOW, "normalization_stats", "std", 0), "'std'"),
+    # finite and above 0, but below the least std a fit keeps; 1e-310 also
+    # overflows the z-score if it loads
+    "stats_std_1e-13": (setting(1e-13, "normalization_stats", "std", 0),
+                        "'std' of column 'comb_0_1'"),
+    "stats_std_1e-310": (setting(1e-310, "normalization_stats", "std", 0),
+                         "'std' of column 'comb_0_1'"),
     "stats_mean_nan": (setting(math.nan, "normalization_stats", "mean", 0), "'mean'"),
     "stats_mean_infinity": (setting(-math.inf, "normalization_stats", "mean", 2), "'mean'"),
     "stats_mean_huge_int": (setting(HUGE_INT, "normalization_stats", "mean", 1), "'mean'"),
@@ -818,11 +850,9 @@ def test_train_diverged_run_exits_1(tmp_path, train_csv, capsys):
     assert "epoch 1:" in err and "1e+300" in err
 
 
-# valid checkpoints whose output overflows: one first-layer weight of 1e308,
-# or a z-score std so small that dividing by it overflows
-@pytest.mark.parametrize("edit", [setting(1e308, "layers", 0, "values", 0, 0, 0),
-                                  setting(1e-310, "normalization_stats", "std", 0)],
-                         ids=["weight_1e308", "std_1e-310"])
+# a valid checkpoint whose output overflows: one first-layer weight of 1e308
+@pytest.mark.parametrize("edit", [setting(1e308, "layers", 0, "values", 0, 0, 0)],
+                         ids=["weight_1e308"])
 @pytest.mark.filterwarnings("error")  # the data error is the only report, no numpy warning
 def test_eval_overflowing_model_exits_2(tmp_path, train_csv, capsys, edit):
     ckpt, _ = trained(tmp_path, train_csv)

@@ -13,9 +13,21 @@ from twistnet.featcomb import (
     CombinationSpec,
     transform_dataset,
 )
-from twistnet.layers import INFER, TRAIN, softmax_cross_entropy
+from twistnet.layers import (
+    INFER,
+    TRAIN,
+    BatchNorm,
+    Dense,
+    Dropout,
+    ReLULayer,
+    ResidualBlock,
+    softmax_cross_entropy,
+)
 from twistnet.model import (
     CHECKPOINT_FORMAT_KEYS,
+    DROPOUT_RATE,
+    HIDDEN1,
+    HIDDEN2,
     KIND_CNN1D,
     KIND_LOGISTIC,
     KIND_MLP,
@@ -23,6 +35,7 @@ from twistnet.model import (
     MODEL_KINDS,
     Checkpoint,
     ModelConfig,
+    ModelGraph,
     backward,
     build_baseline,
     build_tcn,
@@ -38,10 +51,15 @@ from twistnet.train import TrainConfig, train_loop
 from helpers import rel_err, softmax_rows
 
 
-def toy_model(input_dim=3, n_classes=2, seed=0, dropout=0.0, blocks=1):
-    cfg = ModelConfig(hidden1=4, hidden2=3, n_residual_blocks=blocks,
-                      dropout_rate=dropout, seed=seed)
-    return build_tcn(input_dim, n_classes, cfg)
+def toy_model(input_dim=3, n_classes=2, seed=0, dropout=0.0):
+    """The reference stack's layers at widths 4 and 3, small enough for an
+    exhaustive finite-difference check."""
+    rng = Rng(seed)
+    return ModelGraph(KIND_TCN, input_dim, n_classes, [
+        Dense.init(input_dim, 4, rng, "relu"), ResidualBlock.init(4, rng), BatchNorm.init(4),
+        ReLULayer(), Dropout(dropout), Dense.init(4, 3, rng, "relu"),
+        Dense.init(3, n_classes, rng, "identity"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +78,12 @@ def test_default_stack_layer_order():
     model = build_tcn(6, 3, ModelConfig())
     kinds = [layer.kind for layer in model.layers]
     assert kinds == ["dense", "residual", "batchnorm", "relu", "dropout", "dense", "dense"]
+    assert model.layers[0].weights.shape == (HIDDEN1, 6)
+    assert model.layers[1].w1.shape == (HIDDEN1, HIDDEN1)
+    assert model.layers[4].rate == DROPOUT_RATE
+    assert model.layers[5].weights.shape == (HIDDEN2, HIDDEN1)
     assert model.layers[-1].activation == "identity"
-    assert model.layers[-1].weights.shape[0] == 3
-
-
-def test_zero_residual_blocks_is_plain_feedforward():
-    model = build_tcn(5, 2, ModelConfig(n_residual_blocks=0))
-    kinds = [layer.kind for layer in model.layers]
-    assert kinds == ["dense", "batchnorm", "relu", "dropout", "dense", "dense"]
-
-
-def test_no_batchnorm_variant():
-    model = build_tcn(5, 2, ModelConfig(use_batchnorm=False))
-    assert "batchnorm" not in [layer.kind for layer in model.layers]
+    assert model.layers[-1].weights.shape == (3, HIDDEN2)
 
 
 def test_same_seed_builds_identical_parameters():
@@ -114,12 +125,6 @@ def test_config_validation():
         build_tcn(5, 1, ModelConfig())
     with pytest.raises(ValueError):
         build_tcn(0, 2, ModelConfig())
-    with pytest.raises(ValueError):
-        ModelConfig(hidden1=0).validate()
-    with pytest.raises(ValueError):
-        ModelConfig(dropout_rate=1.0).validate()
-    with pytest.raises(ValueError):
-        ModelConfig(n_residual_blocks=-1).validate()
 
 
 L2_ARRAYS = ("weights", "w1", "w2", "kernels")
@@ -140,7 +145,7 @@ def test_param_block_names_are_addressable():
 
 def every_graph(tmp_path):
     """Each way a ModelGraph is made: both builders, every baseline kind, a load."""
-    cfg = ModelConfig(hidden1=4, hidden2=3)
+    cfg = ModelConfig(seed=0)
     graphs = [build_tcn(6, 3, cfg)]
     graphs += [build_baseline(kind, 6, 3, cfg) for kind in (KIND_LOGISTIC, KIND_MLP, KIND_CNN1D)]
     _, path = make_checkpoint(tmp_path)
@@ -279,7 +284,7 @@ def layerwise_gradients(model, cache, labels):
 @pytest.mark.parametrize("kind", [KIND_TCN, KIND_MLP, KIND_LOGISTIC, KIND_CNN1D])
 def test_backward_writes_model_grads_in_place(kind):
     model = (toy_model(input_dim=6, dropout=0.5) if kind == KIND_TCN
-             else build_baseline(kind, 6, 2, ModelConfig(hidden1=5, hidden2=4)))
+             else build_baseline(kind, 6, 2, ModelConfig(seed=0)))
     r = np.random.default_rng(8)
     y = np.array([0, 1, 0, 1, 1])
     _, cache = forward(model, r.normal(size=(5, 6)), TRAIN, Rng(0))
@@ -297,7 +302,7 @@ def test_backward_writes_model_grads_in_place(kind):
 
 def test_full_stack_gradient_matches_finite_differences():
     # exhaustive slope check over every parameter of a small complete stack
-    model = toy_model(input_dim=3, n_classes=2, seed=4, dropout=0.0, blocks=1)
+    model = toy_model(input_dim=3, n_classes=2, seed=4, dropout=0.0)
     r = np.random.default_rng(4)
     # nudge every parameter off the zero-init point: fresh biases put some
     # pre-activations exactly on the relu kink, where slopes are one-sided
@@ -370,7 +375,7 @@ def make_checkpoint(tmp_path):
     model = toy_model(input_dim=6, n_classes=2, seed=7, dropout=0.5)
     ckpt = Checkpoint(
         model=model,
-        config=ModelConfig(hidden1=4, hidden2=3, seed=7),
+        config=ModelConfig(seed=7),
         combination=comb,
         subsets=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
         norm_mean=np.array([0.5, -0.5, 0.0, 1.0, 0.25, -1.0]),

@@ -1,6 +1,7 @@
 """The README describes the formats the code reads and writes: the
 checkpoint.json key table has the same keys, types and nullability; the
-run-config table names each section's fields with their defaults; the
+run-config table lists exactly the optional top-level keys and names each
+section's fields with their defaults; the
 layer-entry sentence names every layer setting. Its Python quick start runs
 and prints the accuracy it claims."""
 
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from twistnet.cli import _TOP_FIELDS
 from twistnet.featcomb import CombinationSpec
 from twistnet.layers import LAYER_TYPES
-from twistnet.model import CHECKPOINT_FORMAT_KEYS, ModelConfig
+from twistnet.model import CHECKPOINT_FORMAT_KEYS
 from twistnet.train import TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -49,8 +51,12 @@ def test_readme_checkpoint_table_matches_format():
     assert count and int(count.group(1)) == len(CHECKPOINT_FORMAT_KEYS)
 
 
-@pytest.mark.parametrize("key, cls", [("model", ModelConfig), ("combination", CombinationSpec),
-                                      ("train", TrainConfig)])
+def test_readme_run_config_table_lists_the_optional_keys():
+    rows = table_rows(section("Run config (JSON)."))
+    assert set(rows) == set(_TOP_FIELDS) - {"dataset", "label_column"}
+
+
+@pytest.mark.parametrize("key, cls", [("combination", CombinationSpec), ("train", TrainConfig)])
 def test_readme_run_config_table_matches_sections(key, cls):
     # the cell reads "`name` default, `name` default, ...", then optional remarks after ";"
     meaning = table_rows(section("Run config (JSON)."))[key][1]
