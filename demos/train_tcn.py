@@ -35,8 +35,9 @@ train_c = zscore_apply(train_c, stats)
 test_c = zscore_apply(test_c, stats)
 print(f"features: {ds.n_features} raw -> {train_c.n_features} combined")
 
-# Default stack: dense(20) -> residual -> batchnorm -> relu -> dropout(0.5)
-# -> dense(10) -> dense(2), trained with Adam and early stopping.
+# Default stack: dense(20) -> relu -> residual -> batchnorm -> relu
+# -> dropout(0.5) -> dense(10) -> relu -> dense(2), trained with Adam and
+# early stopping.
 model = build_tcn(train_c.n_features, train_c.n_classes, ModelConfig(seed=0))
 print(f"model: {model.parameter_count()} parameters in {len(model.layers)} layers")
 

@@ -65,14 +65,12 @@ class Layer:
     """Base of every layer. A subclass declares what it stores: ``arrays``,
     the float arrays a checkpoint holds, in constructor order, each mapped to
     its named dimensions; ``params``, the trainable ones, each mapped to
-    whether L2 applies; ``settings``, the scalars the constructor takes after
-    the arrays, each mapped to its type. A checkpoint entry is ``type``, the
-    settings, and ``shape``/``values``."""
+    whether L2 applies. A checkpoint entry is ``type`` and ``shape``/``values``;
+    any other number a layer uses is a constant of its class."""
 
     kind = ""
     arrays: dict[str, tuple[str, ...]] = {}
     params: dict[str, bool] = {}
-    settings: dict[str, type] = {}
 
     def _store(self, *values):
         """Set the declared arrays, as float64, from the constructor's
@@ -98,7 +96,6 @@ class Layer:
         stored = [getattr(self, name) for name in self.arrays]
         return {
             "type": self.kind,
-            **{name: getattr(self, name) for name in self.settings},
             "shape": [list(a.shape) for a in stored],
             "values": [a.tolist() for a in stored],
         }
@@ -107,7 +104,7 @@ class Layer:
     def from_entry(cls, entry):
         """Rebuild a layer; SchemaError if the entry does not match the declaration."""
         where = f"{cls.kind} layer entry"
-        check_exact(entry, {"type": str, **cls.settings, "shape": list, "values": list}, where)
+        check_exact(entry, {"type": str, "shape": list, "values": list}, where)
         shapes, values = entry["shape"], entry["values"]
         if not len(shapes) == len(values) == len(cls.arrays):
             raise SchemaError(f"{where} must record {len(cls.arrays)} arrays "
@@ -122,28 +119,24 @@ class Layer:
                 raise SchemaError(f"{where}: {name!r} is not a numeric array of shape {shape}")
             stored.append(array)
         try:
-            return cls(*stored, *(entry[name] for name in cls.settings))
-        except ValueError as exc:  # a setting out of range, or arrays that disagree
+            return cls(*stored)
+        except ValueError as exc:  # arrays that disagree, or a value out of range
             raise SchemaError(f"{where}: {exc}") from None
 
 
 class Dense(Layer):
-    """Affine map y = f(x W^T + b) with f in {relu, identity}."""
+    """Affine map y = x W^T + b; a rectifier after it is a ReLULayer."""
 
     kind = "dense"
     arrays = {"weights": ("out", "in"), "bias": ("out",)}
     params = {"weights": True, "bias": False}
-    settings = {"activation": str}
 
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "relu"):
-        if activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
         self._store(weights, bias)
-        self.activation = activation
 
     @classmethod
-    def init(cls, fan_in: int, fan_out: int, rng: Rng, activation: str = "relu") -> "Dense":
-        return cls(he_init(fan_in, fan_out, rng), np.zeros(fan_out), activation)
+    def init(cls, fan_in: int, fan_out: int, rng: Rng) -> "Dense":
+        return cls(he_init(fan_in, fan_out, rng), np.zeros(fan_out))
 
     @property
     def input_dim(self):
@@ -152,22 +145,19 @@ class Dense(Layer):
     def forward(self, x, mode=INFER, rng=None):
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"dense expects {self.input_dim} columns, got {x.shape[1]}")
-        z = x @ self.weights.T + self.bias
-        y = relu(z) if self.activation == "relu" else z
-        return y, (x, z)
+        return x @ self.weights.T + self.bias, x
 
     def backward(self, cache, upstream, input_grad=True, out=None):
-        x, z = cache
         grads = grad_w, grad_b = self._grad_out(out)
-        dz = upstream * (z > 0) if self.activation == "relu" else upstream
-        np.matmul(dz.T, x, out=grad_w)
-        dz.sum(axis=0, out=grad_b)
-        grad_x = dz @ self.weights if input_grad else None
+        np.matmul(upstream.T, cache, out=grad_w)
+        upstream.sum(axis=0, out=grad_b)
+        grad_x = upstream @ self.weights if input_grad else None
         return grad_x, grads
 
 
 class ReLULayer(Layer):
-    """Standalone rectifier for graph positions where it is its own stage."""
+    """Rectifier y = max(0, x), the stage after every dense or conv1d layer
+    but the head; the cache is its input, the pre-activation."""
 
     kind = "relu"
 
@@ -252,25 +242,20 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train-time masking scaled by 1/(1-rate), inference is identity.
+    """Inverted dropout: a train-mode pass given an Rng masks entries at
+    ``rate`` and scales the rest by 1/(1-rate); inference, and a train-mode
+    pass without an Rng (the gradient check's), is the identity.
 
     The cache is the float mask ``keep * (1/(1-rate))``; multiplying by it is
     bit-equal to ``x * keep * scale``, signed zeros and infinities included.
     """
 
     kind = "dropout"
-    settings = {"rate": float}
-
-    def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+    rate = 0.5
 
     def forward(self, x, mode=INFER, rng=None):
-        if mode != TRAIN or self.rate == 0.0:
+        if mode != TRAIN or rng is None:
             return x, None
-        if rng is None:
-            raise ValueError("dropout in train mode needs an Rng")
         keep = rng.uniform(x.size).reshape(x.shape) >= self.rate
         mask = keep * (1.0 / (1.0 - self.rate))
         return x * mask, mask

@@ -1,11 +1,10 @@
 """Model graphs: the feature-combination network and its baselines.
 
 The main stack takes an already-combined (and normalized) feature block and
-runs: feature-transformation dense (relu, width ``HIDDEN1``), one
-dimension-preserving residual block, batch norm, relu, dropout at
-``DROPOUT_RATE``, a dense refinement (relu, width ``HIDDEN2``), and an
-identity dense head whose width is the class count, finished by softmax
-cross-entropy.
+runs: feature-transformation dense (width ``HIDDEN1``) and relu, one
+dimension-preserving residual block, batch norm, relu, dropout, a dense
+refinement (width ``HIDDEN2``) and relu, and a dense head whose width is the
+class count, finished by softmax cross-entropy.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ CHECKPOINT_FORMAT_KEYS = {
 # the reference stack's shape
 HIDDEN1 = 20  # feature-transformation and residual width
 HIDDEN2 = 10  # dense refinement width
-DROPOUT_RATE = 0.5
 
 
 @dataclass
@@ -94,12 +92,12 @@ def _reference_stack(input_dim: int, n_classes: int, rng: Rng, residual: bool) -
     the same stack without its residual block."""
     if input_dim < 1:
         raise ValueError("input dimension must be >= 1")
-    stack = [L.Dense.init(input_dim, HIDDEN1, rng, "relu")]
+    stack = [L.Dense.init(input_dim, HIDDEN1, rng), L.ReLULayer()]
     if residual:
         stack.append(L.ResidualBlock.init(HIDDEN1, rng))
-    return stack + [L.BatchNorm.init(HIDDEN1), L.ReLULayer(), L.Dropout(DROPOUT_RATE),
-                    L.Dense.init(HIDDEN1, HIDDEN2, rng, "relu"),
-                    L.Dense.init(HIDDEN2, n_classes, rng, "identity")]
+    return stack + [L.BatchNorm.init(HIDDEN1), L.ReLULayer(), L.Dropout(),
+                    L.Dense.init(HIDDEN1, HIDDEN2, rng), L.ReLULayer(),
+                    L.Dense.init(HIDDEN2, n_classes, rng)]
 
 
 def build_tcn(input_dim_after_combination: int, n_classes: int, cfg: ModelConfig) -> ModelGraph:
@@ -118,7 +116,7 @@ def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) 
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     rng = Rng(cfg.seed)
     if kind == KIND_LOGISTIC:
-        stack = [L.Dense.init(input_dim, n_classes, rng, "identity")]
+        stack = [L.Dense.init(input_dim, n_classes, rng)]
     elif kind == KIND_MLP:
         stack = _reference_stack(input_dim, n_classes, rng, residual=False)
     elif kind == KIND_CNN1D:
@@ -127,9 +125,8 @@ def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) 
             raise ValueError(f"cnn1d needs at least {width} input features, got {input_dim}")
         conv = L.Conv1D.init(8, width, rng)
         flat = conv.n_kernels * conv.output_length(input_dim)
-        stack = [conv, L.ReLULayer(),
-                 L.Dense.init(flat, HIDDEN2, rng, "relu"),
-                 L.Dense.init(HIDDEN2, n_classes, rng, "identity")]
+        stack = [conv, L.ReLULayer(), L.Dense.init(flat, HIDDEN2, rng), L.ReLULayer(),
+                 L.Dense.init(HIDDEN2, n_classes, rng)]
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     return ModelGraph(kind, input_dim, n_classes, stack)

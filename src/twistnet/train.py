@@ -54,8 +54,7 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray,
-              state: AdamState, cfg: TrainConfig) -> tuple[np.ndarray, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
     """One Adam update, in place on the parameter vector.
 
     t += 1
@@ -76,16 +75,13 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     v += (1.0 - b2) * grads * grads
     params -= (cfg.learning_rate * (m / (1.0 - b1 ** state.t))
                / (np.sqrt(v / (1.0 - b2 ** state.t)) + ADAM_EPSILON))
-    return params, state
 
 
-def l2_penalty(params: np.ndarray, mask: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient of (lam/2)*sum(w^2) over the entries ``mask`` marks (weight
-    matrices; biases and norm scales are exempt), exactly +0.0 on the
-    exempt entries."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return lam * np.where(mask, params, 0.0)
+def l2_penalty(params: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Gradient of (L2_LAMBDA/2)*sum(w^2) over the entries ``mask`` marks
+    (weight matrices; biases and norm scales are exempt), exactly +0.0 on
+    the exempt entries."""
+    return L2_LAMBDA * np.where(mask, params, 0.0)
 
 
 @dataclass
@@ -174,7 +170,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
                 _, cache = M.forward(model, xb, L.TRAIN, rng)
                 data_loss = M.loss_from_cache(cache, yb)
                 grads = M.backward(model, cache, yb)
-                grads += l2_penalty(params, model.l2_mask, L2_LAMBDA)
+                grads += l2_penalty(params, model.l2_mask)
                 adam_step(params, grads, state, cfg)
                 total_loss += data_loss * len(idx)
             train_loss = total_loss / n
@@ -207,20 +203,16 @@ def _loss_only(model: M.ModelGraph, batch, labels) -> float:
 
 
 @contextmanager
-def _frozen_stochastic(model: M.ModelGraph):
-    """Temporarily zero dropout rates and pin every stored array that is not
-    a parameter (batch-norm running stats), so repeated forward passes over
-    one batch are a deterministic function of the parameters."""
-    rates = [(layer, layer.rate) for layer in model.layers if layer.kind == "dropout"]
+def _pinned_running_stats(model: M.ModelGraph):
+    """Pin every stored array that is not a parameter (batch-norm running
+    stats), so repeated forward passes over one batch are a deterministic
+    function of the parameters. Dropout needs no pinning: the passes run
+    without an Rng, which makes it the identity."""
     stored = [(getattr(layer, name), getattr(layer, name).copy())
               for layer in model.layers for name in layer.arrays if name not in layer.params]
-    for layer, _ in rates:
-        layer.rate = 0.0
     try:
         yield
     finally:
-        for layer, rate in rates:
-            layer.rate = rate
         for array, saved in stored:
             array[...] = saved
 
@@ -235,9 +227,7 @@ def kink_distance(model: M.ModelGraph, cache) -> float:
     dist = np.inf
     for layer, lc in zip(model.layers, cache["layer_caches"]):
         pre = []
-        if layer.kind == "dense" and layer.activation == "relu":
-            pre.append(lc[1])
-        elif layer.kind == "relu":
+        if layer.kind == "relu":
             pre.append(lc)
         elif layer.kind == "residual":
             pre.extend((lc[1], lc[3]))
@@ -253,7 +243,7 @@ def find_check_batch(model: M.ModelGraph, features, labels, size: int = 8,
     all clear ``margin``, giving a differentiable point for grad_check."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    with _frozen_stochastic(model):
+    with _pinned_running_stats(model):
         for start in range(0, features.shape[0], size):
             batch = features[start : start + size]
             if batch.shape[0] < 2:
@@ -271,12 +261,13 @@ def grad_check_report(model: M.ModelGraph, batch, labels, corruption: float = 0.
     """Central-difference check of every parameter against the analytic
     gradient; returns (max_relative_error, per-layer-kind maxima).
 
-    Dropout is disabled for the duration and batch-norm runs in train mode
-    on the fixed batch, so both loss evaluations see the same deterministic
-    path. Relative error is |a-n| / max(|a|, |n|, 1e-8), or 0 when |a-n|
-    is within 4 ulps of the larger loss over 2h: an exactly-zero gradient
-    (a bias that a following batch norm cancels) leaves only rounding of
-    the loss in n, which the 1e-8 floor would inflate to about 1e-4.
+    Every pass runs in train mode without an Rng, so dropout is the identity
+    and batch norm runs on the fixed batch, and both loss evaluations see the
+    same deterministic path. Relative error is |a-n| / max(|a|, |n|, 1e-8),
+    or 0 when |a-n| is within 4 ulps of the larger loss over 2h: an
+    exactly-zero gradient (a bias that a following batch norm cancels)
+    leaves only rounding of the loss in n, which the 1e-8 floor would
+    inflate to about 1e-4.
 
     The difference error is U-shaped in the step size (truncation grows with
     h, cancellation noise with 1/h), and no single h covers both large and
@@ -293,7 +284,7 @@ def grad_check_report(model: M.ModelGraph, batch, labels, corruption: float = 0.
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels)
 
-    with _frozen_stochastic(model):
+    with _pinned_running_stats(model):
         _, cache = M.forward(model, batch, L.TRAIN)
         analytic = M.backward(model, cache, labels)
         if corruption != 0.0 and analytic.size:

@@ -24,7 +24,8 @@ from twistnet.featcomb import (
     transform_dataset,
 )
 from twistnet.data import PRODUCT_SIGN
-from twistnet.model import DROPOUT_RATE, HIDDEN1, HIDDEN2
+from twistnet.layers import Dropout
+from twistnet.model import HIDDEN1, HIDDEN2
 from twistnet.ndcore import Rng
 
 
@@ -70,7 +71,7 @@ def test_parse_run_config_defaults():
     rc = parse_run_config({"dataset": "d.csv", "label_column": "label"})
     assert rc.kind == "tcn" and rc.seed == 0 and rc.output_dir == "."
     assert rc.combination == CombinationSpec()  # combining is the default
-    assert (HIDDEN1, HIDDEN2, DROPOUT_RATE) == (20, 10, 0.5) and rc.train.max_epochs == 200
+    assert (HIDDEN1, HIDDEN2, Dropout.rate) == (20, 10, 0.5) and rc.train.max_epochs == 200
 
 
 def test_parse_run_config_null_combination():
@@ -462,32 +463,32 @@ def test_eval_reproduces_training_metrics(tmp_path, train_csv, capsys):
 # the numerics must leave every one of these bytes as it is.
 PINNED_SHA256 = {
     "default": (
-        "08419f1ac9cc1150dc58910b628e50f2c1934f1002562d14d9723cb7a68da368",
+        "4b855fd41d9e8e390d657f14113859d02252af5f42a380929ed17808db7f43b1",
         "494678647119e773b42812c560857bec86a04e0376e61a483952c3c8d84376a3",
         "a6f727905db5f7757ac7d8cc69c58b10b065405d7ae5d78158b40790d4c9b26b",
     ),
     "raw": (
-        "a98e0c36faf38742338b335f90d4b7067b8da5f0e6d13a9907a567afe6e4ac35",
+        "b1713174d8a5b88ede92104171cc7e514f328bb522df81160e5ade4e86f833f9",
         "187de40e37485aa2451cb569c62468dcd4f9ebeffb7004aaad7345587b1491fc",
         "c386a105ac722bff68186a3f12780e6e487940fab4f181f1f2598f2104ebcb6b",
     ),
     "pairwise_m3": (
-        "8dc01b6ad9ffbea2d85375be1f957828b882a73d1cde1e3b93bc17a390998d2c",
+        "5728f1014ed0447ceccb91b7379102a717a89134d89dd871fd0c32275d97032c",
         "92645e6282e1184e15462755456269735ba35c6317bc12061154af74ae656123",
         "19529d74068a02073740f64af72805d9da896b42a7311a25f8b871e78f93367c",
     ),
     "mlp": (
-        "c4a0fa1b4130eedd828e2a0438dbdefac6695c0dffc15e5b96b8a79c2896716b",
+        "c906f01034b76a9c5db076520a1e1b7594c7a119aabdea864480e0cbbd8c4a41",
         "3de4e9c4d33cd40db728ca160521c284a3e0c8e10023a877b13145032ca2922a",
         "b70dcdf5345ea4f4e5e596de721d8df075681c0791147cbca1c84eadd3793aef",
     ),
     "cnn1d": (
-        "78ffc69576373e0ebec0c903603abac6feeef9148de197c2b76a68ddfe46027f",
+        "38c62c5cc6bdf860cdfe0bacf373173ef55199a017d9bfe7e31369a9d74f84d5",
         "2e0df3eebc1caffd8cc52f892dd222f8542946787eec674e99ad2862ba5b5def",
         "766c08a31e4787ea04d2cdf3e57ef71479a56a3edff8595e0cff607208ef232a",
     ),
     "logistic": (
-        "8bffaf69c0679fd51d3d7751abe88d28d27b9d66c99e84d32b6c3fbccd783403",
+        "a74f685b59008332fbb50a909846ca1415da9d72c3b0c194e66908c7203e8416",
         "0f7e7d2cdc2e4315bd91c254ef0da152360dc5453fc92d2a3ac304af9a53d95f",
         "ebbda172afafac206fb9df1fd0396769b2ccb4802b8a53241a52930553c62ad7",
     ),
@@ -647,7 +648,7 @@ def test_eval_checkpoint_not_json_exit_2(tmp_path, train_csv, capsys):
 
 def shorten_b1(doc):
     """The residual block's b1 one short, with its shape record to match."""
-    residual = doc["layers"][1]
+    residual = doc["layers"][2]
     residual["values"][1].pop()
     residual["shape"][1][0] -= 1
 
@@ -676,17 +677,16 @@ def setting(value, *keys):
 OVERFLOW = "1e999"
 HUGE_INT = "1" + "0" * 400
 
-# edits of a trained tcn checkpoint (layers: dense, residual, batchnorm, relu,
-# dropout, dense, dense), each with a word its error message must name
+# edits of a trained tcn checkpoint (layers: dense, relu, residual, batchnorm,
+# relu, dropout, dense, relu, dense), each with a word its error message must name
 MALFORMED_CHECKPOINTS = {
     "layer_without_values": (lambda d: d["layers"][0].pop("values"), "'values'"),
     "combination_unknown_key": (lambda d: d["combination"].update(mm=2), "mm"),
     "combination_max_combined": (lambda d: d["combination"].update(max_combined=100000),
                                  "unknown key 'max_combined'"),
-    "unknown_layer_type": (lambda d: d["layers"][3].update(type="pooling"), "pooling"),
-    "dropout_without_rate": (lambda d: d["layers"][4].pop("rate"), "'rate'"),
-    "batchnorm_three_arrays": (lambda d: (d["layers"][2]["values"].pop(),
-                                          d["layers"][2]["shape"].pop()), "4 arrays"),
+    "unknown_layer_type": (lambda d: d["layers"][4].update(type="pooling"), "pooling"),
+    "batchnorm_three_arrays": (lambda d: (d["layers"][3]["values"].pop(),
+                                          d["layers"][3]["shape"].pop()), "4 arrays"),
     "dense_bias_short": (lambda d: d["layers"][0]["values"][1].pop(), "'bias'"),
     "layers_not_a_list": (lambda d: d.update(layers=5), "'layers'"),
     "ragged_weight_row": (lambda d: d["layers"][0]["values"][0][0].pop(), "'weights'"),
@@ -703,14 +703,13 @@ MALFORMED_CHECKPOINTS = {
     "combination_m_past_features": (lambda d: d["combination"].update(m=5), "m=5"),
     "unknown_kind": (lambda d: d.update(kind="bogus"), "bogus"),
     "layer_unknown_key": (lambda d: d["layers"][0].update(colour="red"), "colour"),
-    "dropout_rate_out_of_range": (lambda d: d["layers"][4].update(rate=1.5), "rate"),
     "residual_b1_short": (shorten_b1, "'b1'"),
     "head_one_row_wider": (widen_head, "class scores"),
     "dense_weight_nan": (setting(math.nan, "layers", 0, "values", 0, 0, 0), "'weights'"),
-    "residual_w2_infinity": (setting(math.inf, "layers", 1, "values", 2, 0, 0), "'w2'"),
-    "head_bias_1e999": (setting(OVERFLOW, "layers", 6, "values", 1, 0), "'bias'"),
-    "running_mean_nan": (setting(math.nan, "layers", 2, "values", 2, 0), "'running_mean'"),
-    "running_var_negative": (setting(-1.0, "layers", 2, "values", 3, 0), "'running_var'"),
+    "residual_w2_infinity": (setting(math.inf, "layers", 2, "values", 2, 0, 0), "'w2'"),
+    "head_bias_1e999": (setting(OVERFLOW, "layers", 8, "values", 1, 0), "'bias'"),
+    "running_mean_nan": (setting(math.nan, "layers", 3, "values", 2, 0), "'running_mean'"),
+    "running_var_negative": (setting(-1.0, "layers", 3, "values", 3, 0), "'running_var'"),
     "stats_std_zero": (setting(0.0, "normalization_stats", "std", 0), "'std'"),
     "stats_std_negative": (setting(-2.0, "normalization_stats", "std", 1), "'std'"),
     "stats_std_1e999": (setting(OVERFLOW, "normalization_stats", "std", 0), "'std'"),
@@ -732,7 +731,12 @@ MALFORMED_CHECKPOINTS = {
                                                "n_residual_blocks": 1, "dropout_rate": 0.5,
                                                "use_batchnorm": True}),
                     "unknown key 'config'"),
-    "batchnorm_with_epsilon": (setting(1e-5, "layers", 2, "epsilon"), "unknown key 'epsilon'"),
+    "batchnorm_with_epsilon": (setting(1e-5, "layers", 3, "epsilon"), "unknown key 'epsilon'"),
+    # the settings older layer entries wrote: a rectifier is its own layer
+    # now, and the dropout rate a constant of the class
+    "dense_with_activation": (setting("relu", "layers", 0, "activation"),
+                              "unknown key 'activation'"),
+    "dropout_with_rate": (setting(0.5, "layers", 5, "rate"), "unknown key 'rate'"),
     "class_names_entry_object": (setting({}, "class_names", 0), "'class_names'"),
     "class_names_repeated": (lambda d: d.update(class_names=["neg", "neg"]), "'class_names'"),
     "feature_names_entry_number": (setting(5, "feature_names", 0), "'feature_names'"),
@@ -886,7 +890,7 @@ def test_gradcheck_reports_each_layer_kind(tmp_path, train_csv, capsys):
     assert main(["gradcheck", "--config", str(cfg)]) == 0
     out_lines = capsys.readouterr().out.splitlines()
     prefixes = [ln.split(":")[0] for ln in out_lines]
-    assert prefixes == ["dense", "residual", "batchnorm", "relu", "dropout",
+    assert prefixes == ["dense", "relu", "residual", "batchnorm", "dropout",
                         "overall", "gradient check passed (threshold 1.0e-04)"]
     assert "relu: no parameters" in out_lines
     assert "dropout: no parameters" in out_lines

@@ -68,14 +68,16 @@ def test_he_init_rejects_bad_fans():
 # ---------------------------------------------------------------------------
 
 def test_dense_identity_matches_matmul():
-    layer = Dense(np.array([[3.0, 4.0]]), np.array([0.0]), "identity")
+    layer = Dense(np.array([[3.0, 4.0]]), np.array([0.0]))
     y, _ = layer.forward(np.array([[1.0, 2.0]]))
     assert y.tolist() == [[11.0]]
 
 
 def test_dense_relu_clamps():
-    layer = Dense(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, -5.0]), "relu")
-    y, _ = layer.forward(np.array([[2.0, 3.0]]))
+    layer = Dense(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, -5.0]))
+    z, _ = layer.forward(np.array([[2.0, 3.0]]))
+    assert z.tolist() == [[2.0, -2.0]]
+    y, _ = ReLULayer().forward(z)
     assert y.tolist() == [[2.0, 0.0]]
 
 
@@ -84,45 +86,53 @@ def test_dense_matches_numpy_affine():
     w = r.normal(size=(4, 6))
     b = r.normal(size=4)
     x = r.normal(size=(7, 6))
-    layer = Dense(w, b, "identity")
+    layer = Dense(w, b)
     y, _ = layer.forward(x)
     assert np.max(np.abs(y - (x @ w.T + b))) < 1e-12
 
 
 def test_dense_validation():
-    with pytest.raises(ValueError):
-        Dense(np.ones((2, 3)), np.zeros(2), "softplus")
+    with pytest.raises(TypeError):  # a rectifier is its own layer, not an argument
+        Dense(np.ones((2, 3)), np.zeros(2), "relu")
     with pytest.raises(ShapeError):
-        Dense(np.ones((2, 3)), np.zeros(3), "relu")
-    layer = Dense(np.ones((2, 3)), np.zeros(2), "relu")
+        Dense(np.ones((2, 3)), np.zeros(3))
+    layer = Dense(np.ones((2, 3)), np.zeros(2))
     with pytest.raises(ShapeError):
         layer.forward(np.ones((1, 4)))
 
 
 def test_dense_gradients_match_finite_differences():
     r = np.random.default_rng(1)
-    for activation in ("relu", "identity"):
-        layer = Dense(r.normal(size=(3, 5)), r.normal(size=3), activation)
+    for rectified in (True, False):  # dense then relu, and dense alone
+        layer = Dense(r.normal(size=(3, 5)), r.normal(size=3))
+        after = [ReLULayer()] if rectified else []
         x = np.asarray(r.normal(size=(4, 5)))
         c = r.normal(size=(4, 3))
 
         def loss():
             y, _ = layer.forward(x)
+            for stage in after:
+                y, _ = stage.forward(y)
             return float(np.sum(c * y))
 
-        y, cache = layer.forward(x)
-        grad_x, (grad_w, grad_b) = layer.backward(cache, c)
+        z, cache = layer.forward(x)
+        up = c
+        for stage in after:
+            _, stage_cache = stage.forward(z)
+            up, _ = stage.backward(stage_cache, c)
+        grad_x, (grad_w, grad_b) = layer.backward(cache, up)
         assert rel_err(grad_w, fd_wrt(layer.weights, loss)) < 1e-7
         assert rel_err(grad_b, fd_wrt(layer.bias, loss)) < 1e-7
         assert rel_err(grad_x, fd_wrt(x, loss)) < 1e-7
 
 
 def test_dense_entry_roundtrip():
-    layer = Dense(np.array([[1.5, -2.0]]), np.array([0.25]), "identity")
-    clone = Dense.from_entry(layer.to_entry())
+    layer = Dense(np.array([[1.5, -2.0]]), np.array([0.25]))
+    entry = layer.to_entry()
+    assert set(entry) == {"type", "shape", "values"}
+    clone = Dense.from_entry(entry)
     assert np.array_equal(clone.weights, layer.weights)
     assert np.array_equal(clone.bias, layer.bias)
-    assert clone.activation == "identity"
 
 
 def test_relu_layer_forward_backward():
@@ -282,28 +292,30 @@ def test_batchnorm_entry_roundtrip():
 
 def test_dropout_identity_paths():
     x = np.arange(6.0).reshape(2, 3)
-    layer = Dropout(0.5)
+    layer = Dropout()
     y, cache = layer.forward(x, INFER)
     assert np.array_equal(y, x) and cache is None
-    y, cache = Dropout(0.0).forward(x, TRAIN, Rng(0))
+    rng = Rng(0)
+    y, cache = layer.forward(x, INFER, rng)
     assert np.array_equal(y, x) and cache is None
+    assert rng.uniform(3).tolist() == Rng(0).uniform(3).tolist()  # nothing drawn
 
 
 def test_dropout_needs_rng_in_train():
-    with pytest.raises(ValueError):
-        Dropout(0.5).forward(np.ones((2, 2)), TRAIN)
-
-
-def test_dropout_rate_validation():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
-    with pytest.raises(ValueError):
-        Dropout(-0.1)
+    # without an Rng a train-mode pass draws no mask and is the identity,
+    # backward included: the gradient check runs this way
+    x = np.arange(4.0).reshape(2, 2)
+    y, cache = Dropout().forward(x, TRAIN)
+    assert y is x and cache is None
+    grad_x, grads = Dropout().backward(cache, x)
+    assert grad_x is x and grads == []
+    with pytest.raises(TypeError):  # the rate is a constant of the class
+        Dropout(0.25)
 
 
 def test_dropout_mask_statistics_and_scaling():
     x = np.ones((100, 100))
-    layer = Dropout(0.5)
+    layer = Dropout()
     y, cache = layer.forward(x, TRAIN, Rng(9))
     kept = y != 0.0
     # survivors carry exactly 1/(1-rate), everything else is zeroed
@@ -314,7 +326,7 @@ def test_dropout_mask_statistics_and_scaling():
 
 def test_dropout_backward_masks_like_forward():
     x = np.ones((4, 5))
-    layer = Dropout(0.5)
+    layer = Dropout()
     y, cache = layer.forward(x, TRAIN, Rng(1))
     up = np.full((4, 5), 3.0)
     grad_x, grads = layer.backward(cache, up)
@@ -323,7 +335,7 @@ def test_dropout_backward_masks_like_forward():
     assert np.allclose(grad_x[y != 0.0], 6.0)
 
 
-@pytest.mark.parametrize("rate", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("rate", [Dropout.rate])
 def test_dropout_matches_mask_times_scale_bytes(rate):
     # one cached float mask is bit-equal to applying keep and scale in turn
     specials = [-0.0, 0.0, np.inf, -np.inf, 1e-308, -3.5, 1e308]
@@ -333,16 +345,16 @@ def test_dropout_matches_mask_times_scale_bytes(rate):
     scale = 1.0 / (1.0 - rate)
     assert keep.any() and not keep.all()
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and 1e308 * scale
-        y, cache = Dropout(rate).forward(x, TRAIN, Rng(5))
+        y, cache = Dropout().forward(x, TRAIN, Rng(5))
         assert y.tobytes() == dropout_reference(x, keep, scale).tobytes()
-        grad_x, _ = Dropout(rate).backward(cache, up)
+        grad_x, _ = Dropout().backward(cache, up)
         assert grad_x.tobytes() == dropout_reference(up, keep, scale).tobytes()
 
 
 def test_dropout_deterministic_mask():
     x = np.ones((3, 3))
-    a, _ = Dropout(0.5).forward(x, TRAIN, Rng(42))
-    b, _ = Dropout(0.5).forward(x, TRAIN, Rng(42))
+    a, _ = Dropout().forward(x, TRAIN, Rng(42))
+    b, _ = Dropout().forward(x, TRAIN, Rng(42))
     assert np.array_equal(a, b)
 
 
@@ -568,7 +580,7 @@ def test_layer_registry_covers_all_kinds():
 
 
 def test_layer_from_entry_rebuilds_dense():
-    layer = Dense(np.array([[2.0, 0.0]]), np.array([1.0]), "identity")
+    layer = Dense(np.array([[2.0, 0.0]]), np.array([1.0]))
     clone = layer_from_entry(layer.to_entry())
     assert isinstance(clone, Dense)
     x = np.array([[3.0, 4.0]])
@@ -576,11 +588,10 @@ def test_layer_from_entry_rebuilds_dense():
 
 
 def test_from_entry_checks_settings_and_cells():
-    rate = Dropout(0.25).to_entry()
-    assert Dropout.from_entry({**rate, "rate": 0}).rate == 0  # an int is a float setting
-    for bad in ("half", True, None):
-        with pytest.raises(SchemaError, match="'rate' must be float"):
-            Dropout.from_entry({**rate, "rate": bad})
+    # an entry is type, shape and values: the settings older entries wrote
+    # are unknown keys
+    with pytest.raises(SchemaError, match="unknown key 'rate'"):
+        Dropout.from_entry({**Dropout().to_entry(), "rate": 0.5})
     conv = Conv1D.init(2, 3, Rng(0)).to_entry()
     with pytest.raises(SchemaError, match="unknown key 'stride'"):
         Conv1D.from_entry({**conv, "stride": 1})
@@ -589,6 +600,8 @@ def test_from_entry_checks_settings_and_cells():
         with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
             BatchNorm.from_entry({**norm, key: value})
     dense = Dense.init(2, 1, Rng(0)).to_entry()
+    with pytest.raises(SchemaError, match="unknown key 'activation'"):
+        Dense.from_entry({**dense, "activation": "relu"})
     dense["values"][0][0][1] = "0.5"
     with pytest.raises(SchemaError, match="'weights' is not a numeric array"):
         Dense.from_entry(dense)
@@ -631,7 +644,7 @@ def test_functional_wrappers_agree_with_methods():
     gx2, (gg2, gb2) = bn.backward(cache, up)
     assert np.array_equal(gx, gx2) and np.array_equal(gg, gg2) and np.array_equal(gb, gb2)
 
-    assert np.array_equal(Dropout(0.5).forward(x, INFER)[0], x)
+    assert np.array_equal(Dropout().forward(x, INFER)[0], x)
 
     block = ResidualBlock.init(3, Rng(2))
     y, cache = block.forward(x)
@@ -649,7 +662,7 @@ INPUT_GRAD_CASES = {
     "relu": (lambda: ReLULayer(), TRAIN, None, 4),
     "batchnorm-batch": (lambda: BatchNorm.init(4), TRAIN, None, 4),
     "batchnorm-running": (lambda: BatchNorm.init(4), INFER, None, 4),
-    "dropout": (lambda: Dropout(0.5), TRAIN, 21, 4),
+    "dropout": (lambda: Dropout(), TRAIN, 21, 4),
     "residual": (lambda: ResidualBlock.init(4, Rng(22)), TRAIN, None, 4),
     "conv1d": (lambda: Conv1D.init(2, 3, Rng(23)), TRAIN, None, 7),
 }

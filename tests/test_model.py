@@ -25,7 +25,6 @@ from twistnet.layers import (
 )
 from twistnet.model import (
     CHECKPOINT_FORMAT_KEYS,
-    DROPOUT_RATE,
     HIDDEN1,
     HIDDEN2,
     KIND_CNN1D,
@@ -51,14 +50,15 @@ from twistnet.train import TrainConfig, train_loop
 from helpers import rel_err, softmax_rows
 
 
-def toy_model(input_dim=3, n_classes=2, seed=0, dropout=0.0):
+def toy_model(input_dim=3, n_classes=2, seed=0):
     """The reference stack's layers at widths 4 and 3, small enough for an
-    exhaustive finite-difference check."""
+    exhaustive finite-difference check; a train-mode pass without an Rng
+    runs it without dropout."""
     rng = Rng(seed)
     return ModelGraph(KIND_TCN, input_dim, n_classes, [
-        Dense.init(input_dim, 4, rng, "relu"), ResidualBlock.init(4, rng), BatchNorm.init(4),
-        ReLULayer(), Dropout(dropout), Dense.init(4, 3, rng, "relu"),
-        Dense.init(3, n_classes, rng, "identity"),
+        Dense.init(input_dim, 4, rng), ReLULayer(), ResidualBlock.init(4, rng),
+        BatchNorm.init(4), ReLULayer(), Dropout(), Dense.init(4, 3, rng), ReLULayer(),
+        Dense.init(3, n_classes, rng),
     ])
 
 
@@ -77,13 +77,14 @@ def test_default_stack_parameter_count():
 def test_default_stack_layer_order():
     model = build_tcn(6, 3, ModelConfig())
     kinds = [layer.kind for layer in model.layers]
-    assert kinds == ["dense", "residual", "batchnorm", "relu", "dropout", "dense", "dense"]
+    assert kinds == ["dense", "relu", "residual", "batchnorm", "relu", "dropout",
+                     "dense", "relu", "dense"]
     assert model.layers[0].weights.shape == (HIDDEN1, 6)
-    assert model.layers[1].w1.shape == (HIDDEN1, HIDDEN1)
-    assert model.layers[4].rate == DROPOUT_RATE
-    assert model.layers[5].weights.shape == (HIDDEN2, HIDDEN1)
-    assert model.layers[-1].activation == "identity"
+    assert model.layers[2].w1.shape == (HIDDEN1, HIDDEN1)
+    assert model.layers[6].weights.shape == (HIDDEN2, HIDDEN1)
     assert model.layers[-1].weights.shape == (3, HIDDEN2)
+    # no layer stores a setting: the rectifiers are layers, the rate a constant
+    assert all(set(layer.to_entry()) == {"type", "shape", "values"} for layer in model.layers)
 
 
 def test_same_seed_builds_identical_parameters():
@@ -99,7 +100,6 @@ def test_logistic_baseline_parameter_count():
     model = build_baseline(KIND_LOGISTIC, 4, 3, ModelConfig())
     assert model.parameter_count() == 4 * 3 + 3
     assert [layer.kind for layer in model.layers] == ["dense"]
-    assert model.layers[0].activation == "identity"
 
 
 def test_cnn1d_baseline():
@@ -114,7 +114,7 @@ def test_cnn1d_baseline():
 def test_mlp_baseline_and_unknown_kind():
     model = build_baseline(KIND_MLP, 5, 2, ModelConfig())
     kinds = [layer.kind for layer in model.layers]
-    assert kinds == ["dense", "batchnorm", "relu", "dropout", "dense", "dense"]
+    assert kinds == ["dense", "relu", "batchnorm", "relu", "dropout", "dense", "relu", "dense"]
     with pytest.raises(ValueError):
         build_baseline("forest", 5, 2, ModelConfig())
     assert set(MODEL_KINDS) == {KIND_TCN, KIND_LOGISTIC, KIND_MLP, KIND_CNN1D}
@@ -183,7 +183,7 @@ def test_forward_probability_rows():
 
 
 def test_forward_train_differs_from_infer():
-    model = toy_model(dropout=0.5)
+    model = toy_model()
     x = np.asarray(np.random.default_rng(1).normal(size=(6, 3)))
     infer_probs, _ = forward(model, x, INFER)
     train_probs, cache = forward(model, x, TRAIN, Rng(0))
@@ -192,7 +192,7 @@ def test_forward_train_differs_from_infer():
 
 
 def test_forward_single_row_train_falls_back_to_running_stats():
-    model = toy_model(dropout=0.0)
+    model = toy_model()
     probs, cache = forward(model, np.ones((1, 3)), TRAIN, Rng(0))
     assert probs is None and softmax_rows(cache["logits"]).shape == (1, 2)
 
@@ -230,7 +230,7 @@ def test_backward_grads_align_with_param_blocks():
 
 def test_backward_invariant_to_batch_duplication():
     # mean loss over [x; x] equals mean loss over x, so gradients match too
-    model = toy_model(dropout=0.0)
+    model = toy_model()
     r = np.random.default_rng(3)
     x = np.asarray(r.normal(size=(4, 3)))
     y = np.array([0, 1, 1, 0])
@@ -249,7 +249,7 @@ def test_backward_invariant_to_batch_duplication():
 @pytest.mark.parametrize("kind", [KIND_TCN, KIND_CNN1D])
 def test_backward_skips_only_the_first_input_gradient(kind, monkeypatch):
     # the first layer's input gradient is d(loss)/d(batch), which nothing reads
-    model = (toy_model(input_dim=6, dropout=0.5) if kind == KIND_TCN
+    model = (toy_model(input_dim=6) if kind == KIND_TCN
              else build_baseline(KIND_CNN1D, 6, 2, ModelConfig()))
     r = np.random.default_rng(7)
     x = np.asarray(r.normal(size=(5, 6)))
@@ -283,7 +283,7 @@ def layerwise_gradients(model, cache, labels):
 
 @pytest.mark.parametrize("kind", [KIND_TCN, KIND_MLP, KIND_LOGISTIC, KIND_CNN1D])
 def test_backward_writes_model_grads_in_place(kind):
-    model = (toy_model(input_dim=6, dropout=0.5) if kind == KIND_TCN
+    model = (toy_model(input_dim=6) if kind == KIND_TCN
              else build_baseline(kind, 6, 2, ModelConfig(seed=0)))
     r = np.random.default_rng(8)
     y = np.array([0, 1, 0, 1, 1])
@@ -302,7 +302,7 @@ def test_backward_writes_model_grads_in_place(kind):
 
 def test_full_stack_gradient_matches_finite_differences():
     # exhaustive slope check over every parameter of a small complete stack
-    model = toy_model(input_dim=3, n_classes=2, seed=4, dropout=0.0)
+    model = toy_model(input_dim=3, n_classes=2, seed=4)
     r = np.random.default_rng(4)
     # nudge every parameter off the zero-init point: fresh biases put some
     # pre-activations exactly on the relu kink, where slopes are one-sided
@@ -360,7 +360,7 @@ def test_m2_approaches_train_bit_identical_models():
         combined = transform_dataset(raw.features, CombinationSpec(m=2, approach=approach))
         ds = type(raw)(combined.values, raw.labels, raw.class_names,
                        [f"c{i}" for i in range(combined.values.shape[1])])
-        model = toy_model(input_dim=combined.values.shape[1], seed=1, dropout=0.5)
+        model = toy_model(input_dim=combined.values.shape[1], seed=1)
         model, _ = train_loop(model, ds, cfg)
         results.append(model.params.copy())
     assert np.array_equal(results[0], results[1])
@@ -372,7 +372,7 @@ def test_m2_approaches_train_bit_identical_models():
 
 def make_checkpoint(tmp_path):
     comb = CombinationSpec(m=2)
-    model = toy_model(input_dim=6, n_classes=2, seed=7, dropout=0.5)
+    model = toy_model(input_dim=6, n_classes=2, seed=7)
     ckpt = Checkpoint(
         model=model,
         config=ModelConfig(seed=7),

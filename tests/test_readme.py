@@ -2,8 +2,8 @@
 checkpoint.json key table has the same keys, types and nullability; the
 run-config table lists exactly the optional top-level keys and names each
 section's fields with their defaults; the
-layer-entry sentence names every layer setting. Its Python quick start runs
-and prints the accuracy it claims."""
+layer-entry paragraph names every stored array and the layers that store
+none. Its Python quick start runs and prints the accuracy it claims."""
 
 import json
 import re
@@ -73,8 +73,14 @@ def test_readme_quick_start_runs(capsys):
     assert float(capsys.readouterr().out.split()[-1]) >= 0.93
 
 
-def test_readme_layer_entry_sentence_names_every_setting():
+def test_readme_layer_entry_paragraph_names_every_array():
     text = section("checkpoint.json.")
-    named = re.search(r"A layer entry is its `type`, its settings \(([^)]*)\)", text).group(1)
-    assert set(re.findall(r"`(\w+)`", named)) == {
-        name for cls in LAYER_TYPES.values() for name in cls.settings}
+    paragraph = " ".join(text[text.index("A layer entry is"):].split("\n\n", 1)[0].split())
+    assert paragraph.startswith("A layer entry is its `type` and `shape`/`values`")
+    # the code spans after the colon read "`name (dims)`" or "`name`"
+    spans = re.findall(r"`([^`]+)`", paragraph.split("across a layer's arrays:", 1)[1])
+    named = {m.group(0) for span in spans if (m := re.match(r"\w+", span))}
+    assert named == {name for cls in LAYER_TYPES.values() for name in cls.arrays}
+    bare = sorted(kind for kind, cls in LAYER_TYPES.items() if not cls.arrays)
+    assert bare == ["dropout", "relu"]
+    assert "relu and dropout entries store none" in paragraph

@@ -8,7 +8,7 @@ import pytest
 from twistnet.data import Dataset, PRODUCT_SIGN, stratified_split, synth_interaction
 from twistnet.errors import CapacityError, DataError, ShapeError
 from twistnet.featcomb import CombinationSpec, transform_dataset
-from twistnet.layers import Dense
+from twistnet.layers import Dense, ReLULayer
 from twistnet.model import (
     KIND_LOGISTIC,
     ModelConfig,
@@ -114,8 +114,8 @@ def test_adam_constant_gradient_step_magnitude_is_lr():
 def test_adam_updates_in_place():
     p = np.ones(3)
     state = AdamState(p)
-    out, out_state = adam_step(p, np.ones(3), state, TrainConfig())
-    assert out is p and out_state is state
+    assert adam_step(p, np.ones(3), state, TrainConfig()) is None
+    assert state.t == 1
     assert not np.array_equal(p, np.ones(3))
 
 
@@ -146,17 +146,17 @@ def test_adam_bias_correction_matters_early():
 def test_l2_penalty_weights_only():
     params = np.array([3.0, 4.0, 10.0])  # a 1x2 weight matrix, then a bias
     mask = np.array([True, True, False])
-    grad_add = l2_penalty(params, mask, 0.1)
-    assert np.allclose(grad_add[:2], 0.1 * params[:2])
+    grad_add = l2_penalty(params, mask)
+    assert np.allclose(grad_add[:2], L2_LAMBDA * params[:2])
     assert np.array_equal(grad_add[2:], np.zeros(1))
-    assert not np.signbit(l2_penalty(-params, mask, 0.1)[2])  # exactly +0.0
+    assert not np.signbit(l2_penalty(-params, mask)[2])  # exactly +0.0
 
 
-def test_l2_penalty_zero_lambda():
+def test_l2_penalty_zero_lambda(monkeypatch):
+    # the strength is read from the module constant at each call
     params, mask = np.ones(4), np.ones(4, dtype=bool)
-    assert np.array_equal(l2_penalty(params, mask, 0.0), np.zeros(4))
-    with pytest.raises(ValueError):
-        l2_penalty(params, mask, -0.1)
+    monkeypatch.setattr("twistnet.train.L2_LAMBDA", 0.0)
+    assert np.array_equal(l2_penalty(params, mask), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def sign_dataset(n=40, seed=0):
 
 def test_evaluate_perfect_predictor():
     ds = sign_dataset()
-    model = ModelGraph(KIND_LOGISTIC, 1, 2, [Dense([[-100.0], [100.0]], [0.0, 0.0], "identity")])
+    model = ModelGraph(KIND_LOGISTIC, 1, 2, [Dense([[-100.0], [100.0]], [0.0, 0.0])])
     res = evaluate(model, ds)
     assert res.accuracy == 1.0
     assert res.confusion[0, 1] == 0 and res.confusion[1, 0] == 0
@@ -334,12 +334,10 @@ def test_grad_check_leaves_model_untouched():
     before = model.params.copy()
     stats = [(l.running_mean.copy(), l.running_var.copy())
              for l in model.layers if l.kind == "batchnorm"]
-    rates = [l.rate for l in model.layers if l.kind == "dropout"]
     grad_check_report(model, batch, labels)
     assert np.array_equal(model.params, before)
     for l, (m, v) in zip([l for l in model.layers if l.kind == "batchnorm"], stats):
         assert np.array_equal(l.running_mean, m) and np.array_equal(l.running_var, v)
-    assert [l.rate for l in model.layers if l.kind == "dropout"] == rates
 
 
 def test_grad_check_capacity_limit():
@@ -350,10 +348,10 @@ def test_grad_check_capacity_limit():
 
 
 def test_kink_distance_reads_preactivations():
-    model = ModelGraph("tcn", 1, 1, [Dense([[1.0]], [-2.0], "relu")])
+    model = ModelGraph("tcn", 1, 1, [Dense([[1.0]], [-2.0]), ReLULayer()])
     _, cache = forward(model, np.array([[2.0], [5.0]]), TRAIN)
     assert kink_distance(model, cache) == 0.0  # 2 - 2 lands exactly on the kink
-    model = ModelGraph("tcn", 1, 1, [Dense([[1.0]], [-2.5], "relu")])
+    model = ModelGraph("tcn", 1, 1, [Dense([[1.0]], [-2.5]), ReLULayer()])
     _, cache = forward(model, np.array([[2.0], [5.0]]), TRAIN)
     assert kink_distance(model, cache) == 0.5
 
