@@ -1,14 +1,8 @@
 #!/usr/bin/env python3
 """Finite-difference verification of the TCN backward pass."""
 
-from twistnet.data import (
-    Dataset,
-    PRODUCT_SIGN,
-    synth_interaction,
-    zscore_apply,
-    zscore_fit,
-)
-from twistnet.featcomb import CombinationSpec, transform_dataset
+from twistnet.data import PRODUCT_SIGN, Pipeline, synth_interaction
+from twistnet.featcomb import CombinationSpec
 from twistnet.model import ModelConfig, build_tcn
 from twistnet.ndcore import Rng
 from twistnet.train import find_check_batch, grad_check_report
@@ -16,10 +10,7 @@ from twistnet.train import find_check_batch, grad_check_report
 # A small interaction task, combined with m=2 and normalized, mirrors the
 # conditions the network is meant for.
 raw = synth_interaction(200, 6, PRODUCT_SIGN, 0.1, Rng(0))
-combined = transform_dataset(raw.features, CombinationSpec(m=2))
-names = [f"c{i}" for i in range(combined.values.shape[1])]
-ds = Dataset(combined.values, raw.labels, raw.class_names, names)
-ds = zscore_apply(ds, zscore_fit(ds))
+_, ds = Pipeline.fit(raw, CombinationSpec(m=2))
 
 model = build_tcn(ds.n_features, ds.n_classes, ModelConfig(seed=0))
 print(f"model: {model.parameter_count()} parameters,",
@@ -28,7 +19,7 @@ print(f"model: {model.parameter_count()} parameters,",
 # Central differences sit on both sides of each weight, so a batch whose
 # pre-activations hug a relu kink would produce one-sided slopes and a bogus
 # mismatch. find_check_batch walks the rows and keeps a safe run.
-xb, yb = find_check_batch(model, ds.features, ds.labels, size=8, margin=1e-3)
+xb, yb = find_check_batch(model, ds.features, ds.labels)
 print(f"check batch: {xb.shape[0]} rows clear of rectifier kinks")
 
 overall, per_kind = grad_check_report(model, xb, yb)

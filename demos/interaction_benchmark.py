@@ -3,15 +3,8 @@
 
 import numpy as np
 
-from twistnet.data import (
-    Dataset,
-    PRODUCT_SIGN,
-    stratified_split,
-    synth_interaction,
-    zscore_apply,
-    zscore_fit,
-)
-from twistnet.featcomb import CombinationSpec, combined_feature_names, transform_dataset
+from twistnet.data import PRODUCT_SIGN, Pipeline, stratified_split, synth_interaction
+from twistnet.featcomb import CombinationSpec
 from twistnet.model import KIND_LOGISTIC, ModelConfig, build_baseline
 from twistnet.ndcore import Rng
 from twistnet.train import TrainConfig, evaluate, train_loop
@@ -24,27 +17,20 @@ ds = synth_interaction(2000, 6, PRODUCT_SIGN, 0.1, Rng(0))
 train, _, test = stratified_split(ds, (0.8, 0.0, 0.2), Rng(0))
 
 
-def fit_logistic(tr, te, seed=0):
-    stats = zscore_fit(tr)
-    model = build_baseline(KIND_LOGISTIC, tr.n_features, tr.n_classes,
-                           ModelConfig(seed=seed))
-    model, _ = train_loop(model, zscore_apply(tr, stats), TrainConfig(seed=seed))
-    return evaluate(model, zscore_apply(te, stats)).accuracy
+def fit_logistic(spec):
+    """Test accuracy of a logistic model on the features ``spec`` combines
+    (None: the raw ones), z-scored with train statistics."""
+    pipeline, tr = Pipeline.fit(train, spec)
+    model = build_baseline(KIND_LOGISTIC, tr.n_features, tr.n_classes, ModelConfig(seed=0))
+    model, _ = train_loop(model, tr, TrainConfig(seed=0))
+    return evaluate(model, pipeline.apply(test)).accuracy
 
 
-acc_raw = fit_logistic(train, test)
+acc_raw = fit_logistic(None)
 
-# Same rows, but every pairwise product appended as its own column.
+# Same rows, but every pairwise product as its own column in place of the raw ones.
 spec = CombinationSpec(m=2)
-
-
-def combined_view(split):
-    cf = transform_dataset(split.features, spec)
-    names = combined_feature_names(cf.subsets, spec)
-    return Dataset(cf.values, split.labels, split.class_names, names)
-
-
-acc_comb = fit_logistic(combined_view(train), combined_view(test))
+acc_comb = fit_logistic(spec)
 
 print(f"logistic on raw features:      accuracy {acc_raw:.4f}")
 print(f"logistic on m=2 combinations:  accuracy {acc_comb:.4f}")
@@ -52,9 +38,9 @@ print(f"lift: {acc_comb - acc_raw:+.4f}")
 
 # The signal really does live in one combined column: correlation of each
 # column with the label singles out comb_0_1.
-cf = transform_dataset(train.features, spec)
-names = combined_feature_names(cf.subsets, spec)
-corr = [abs(float(np.corrcoef(cf.values[:, j], train.labels)[0, 1]))
-        for j in range(cf.values.shape[1])]
+_, comb = Pipeline.fit(train, spec)
+corr = [abs(float(np.corrcoef(comb.features[:, j], comb.labels)[0, 1]))
+        for j in range(comb.n_features)]
 top = int(np.argmax(corr))
-print(f"most label-correlated combined column: {names[top]} (|r| = {corr[top]:.3f})")
+print(f"most label-correlated combined column: {comb.feature_names[top]} "
+      f"(|r| = {corr[top]:.3f})")

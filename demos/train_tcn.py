@@ -1,15 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end TCN training run on a synthetic interaction task."""
 
-from twistnet.data import (
-    Dataset,
-    PRODUCT_SIGN,
-    stratified_split,
-    synth_interaction,
-    zscore_apply,
-    zscore_fit,
-)
-from twistnet.featcomb import CombinationSpec, combined_feature_names, transform_dataset
+from twistnet.data import PRODUCT_SIGN, Pipeline, stratified_split, synth_interaction
+from twistnet.featcomb import CombinationSpec
 from twistnet.model import ModelConfig, build_tcn
 from twistnet.ndcore import Rng
 from twistnet.train import TrainConfig, evaluate, train_loop
@@ -18,21 +11,10 @@ from twistnet.train import TrainConfig, evaluate, train_loop
 ds = synth_interaction(2000, 6, PRODUCT_SIGN, 0.1, Rng(0))
 train, _, test = stratified_split(ds, (0.8, 0.0, 0.2), Rng(0))
 
-# Combine features with m=2 products, then z-score with train statistics.
-spec = CombinationSpec(m=2)
-
-
-def combined_view(split):
-    cf = transform_dataset(split.features, spec)
-    names = combined_feature_names(cf.subsets, spec)
-    return Dataset(cf.values, split.labels, split.class_names, names)
-
-
-train_c = combined_view(train)
-test_c = combined_view(test)
-stats = zscore_fit(train_c)
-train_c = zscore_apply(train_c, stats)
-test_c = zscore_apply(test_c, stats)
+# Combine features with m=2 products, then z-score with train statistics;
+# the fitted pipeline applies the same steps to the test split.
+pipeline, train_c = Pipeline.fit(train, CombinationSpec(m=2))
+test_c = pipeline.apply(test)
 print(f"features: {ds.n_features} raw -> {train_c.n_features} combined")
 
 # Default stack: dense(20) -> relu -> residual -> batchnorm -> relu

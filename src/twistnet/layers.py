@@ -1,13 +1,12 @@
 """Differentiable layers with explicit forward caches and manual backward passes.
 
 Every layer follows the same contract: ``forward(x, mode, rng)`` returns
-``(y, cache)``, ``backward(cache, upstream, input_grad=True, out=None)``
-returns ``(grad_x, grads)`` with ``grads`` aligned to ``params``. Given
-``out``, one array per entry of ``params``, the parameter gradients are
-written into it and ``grads`` is ``out``; without it they are fresh arrays,
-bit-identical either way. With ``input_grad=False``, ``grad_x`` is None and
-its work is skipped; ``grads`` come out bit-identical. Gradients are for the
-batch objective as-is; any L2 term is added by the trainer, never here.
+``(y, cache)``, and ``backward(cache, upstream, out, input_grad)`` writes the
+parameter gradients into ``out``, one array per entry of ``params``, and
+returns the input gradient. With ``input_grad=False`` it returns None and
+skips that work; the bytes written to ``out`` are the same either way.
+Gradients are for the batch objective as-is; any L2 term is added by the
+trainer, never here.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ INFER = "infer"
 
 def relu(x):
     return np.maximum(0.0, np.asarray(x, dtype=np.float64))
-
-
-def relu_backward(x, upstream):
-    """Pass upstream where x > 0, zero elsewhere (subgradient 0 at 0)."""
-    return np.asarray(upstream, dtype=np.float64) * (np.asarray(x) > 0)
 
 
 def he_init(fan_in: int, fan_out: int, rng: Rng) -> np.ndarray:
@@ -72,11 +66,12 @@ class Layer:
     arrays: dict[str, tuple[str, ...]] = {}
     params: dict[str, bool] = {}
 
-    def _store(self, *values):
-        """Set the declared arrays, as float64, from the constructor's
-        arguments; ShapeError unless every named dimension has one size, at
-        least 1, across all of them, and ValueError unless every value is
-        finite."""
+    def __init__(self, *values):
+        """Set the declared arrays, as float64, in order; TypeError unless one
+        value per array, ShapeError unless every named dimension has one size,
+        at least 1, across all of them, and ValueError unless all are finite."""
+        if len(values) != len(self.arrays):
+            raise TypeError(f"{self.kind} takes {len(self.arrays)} arrays, got {len(values)}")
         sizes: dict[str, int] = {}
         for (name, dims), value in zip(self.arrays.items(), values):
             array = np.asarray(value, dtype=np.float64)
@@ -87,10 +82,6 @@ class Layer:
             if not np.isfinite(array).all():
                 raise ValueError(f"{self.kind} array {name!r} holds a value that is not finite")
             setattr(self, name, array)
-
-    def _grad_out(self, out):
-        """``out`` if given, else fresh arrays shaped like ``params``."""
-        return out if out is not None else [np.empty_like(getattr(self, n)) for n in self.params]
 
     def to_entry(self):
         stored = [getattr(self, name) for name in self.arrays]
@@ -131,9 +122,6 @@ class Dense(Layer):
     arrays = {"weights": ("out", "in"), "bias": ("out",)}
     params = {"weights": True, "bias": False}
 
-    def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        self._store(weights, bias)
-
     @classmethod
     def init(cls, fan_in: int, fan_out: int, rng: Rng) -> "Dense":
         return cls(he_init(fan_in, fan_out, rng), np.zeros(fan_out))
@@ -147,12 +135,11 @@ class Dense(Layer):
             raise ShapeError(f"dense expects {self.input_dim} columns, got {x.shape[1]}")
         return x @ self.weights.T + self.bias, x
 
-    def backward(self, cache, upstream, input_grad=True, out=None):
-        grads = grad_w, grad_b = self._grad_out(out)
+    def backward(self, cache, upstream, out, input_grad):
+        grad_w, grad_b = out
         np.matmul(upstream.T, cache, out=grad_w)
         upstream.sum(axis=0, out=grad_b)
-        grad_x = upstream @ self.weights if input_grad else None
-        return grad_x, grads
+        return upstream @ self.weights if input_grad else None
 
 
 class ReLULayer(Layer):
@@ -164,8 +151,8 @@ class ReLULayer(Layer):
     def forward(self, x, mode=INFER, rng=None):
         return relu(x), x
 
-    def backward(self, cache, upstream, input_grad=True, out=None):
-        return (relu_backward(cache, upstream) if input_grad else None), []
+    def backward(self, cache, upstream, out, input_grad):
+        return upstream * (cache > 0) if input_grad else None
 
 
 class BatchNorm(Layer):
@@ -184,8 +171,8 @@ class BatchNorm(Layer):
     momentum = 0.9
     epsilon = 1e-5
 
-    def __init__(self, gamma, beta, running_mean, running_var):
-        self._store(gamma, beta, running_mean, running_var)
+    def __init__(self, *values):
+        super().__init__(*values)
         if (self.running_var < 0).any():
             raise ValueError("batchnorm 'running_var' must not be negative")
 
@@ -219,13 +206,13 @@ class BatchNorm(Layer):
             cache = ("running", x, xhat, inv_std)
         return self.gamma * xhat + self.beta, cache
 
-    def backward(self, cache, upstream, input_grad=True, out=None):
+    def backward(self, cache, upstream, out, input_grad):
         path, x, xhat, inv_std = cache
-        grads = grad_gamma, grad_beta = self._grad_out(out)
+        grad_gamma, grad_beta = out
         (upstream * xhat).sum(axis=0, out=grad_gamma)
         upstream.sum(axis=0, out=grad_beta)
         if not input_grad:
-            return None, grads
+            return None
         dxhat = upstream * self.gamma
         if path == "running":
             # running stats are constants, the map is affine per column
@@ -238,7 +225,7 @@ class BatchNorm(Layer):
                 - dxhat.sum(axis=0)
                 - xhat * (dxhat * xhat).sum(axis=0)
             )
-        return grad_x, grads
+        return grad_x
 
 
 class Dropout(Layer):
@@ -260,12 +247,12 @@ class Dropout(Layer):
         mask = keep * (1.0 / (1.0 - self.rate))
         return x * mask, mask
 
-    def backward(self, cache, upstream, input_grad=True, out=None):
+    def backward(self, cache, upstream, out, input_grad):
         if not input_grad:
-            return None, []
+            return None
         if cache is None:
-            return upstream, []
-        return upstream * cache, []
+            return upstream
+        return upstream * cache
 
 
 class ResidualBlock(Layer):
@@ -275,9 +262,6 @@ class ResidualBlock(Layer):
     kind = "residual"
     arrays = {"w1": ("d", "d"), "b1": ("d",), "w2": ("d", "d"), "b2": ("d",)}
     params = {"w1": True, "b1": False, "w2": True, "b2": False}
-
-    def __init__(self, w1, b1, w2, b2):
-        self._store(w1, b1, w2, b2)
 
     @classmethod
     def init(cls, dim: int, rng: Rng) -> "ResidualBlock":
@@ -296,9 +280,9 @@ class ResidualBlock(Layer):
         y = relu(z2) + x
         return y, (x, z1, a1, z2)
 
-    def backward(self, cache, upstream, input_grad=True, out=None):
+    def backward(self, cache, upstream, out, input_grad):
         x, z1, a1, z2 = cache
-        grads = grad_w1, grad_b1, grad_w2, grad_b2 = self._grad_out(out)
+        grad_w1, grad_b1, grad_w2, grad_b2 = out
         dz2 = upstream * (z2 > 0)
         np.matmul(dz2.T, a1, out=grad_w2)
         dz2.sum(axis=0, out=grad_b2)
@@ -307,8 +291,7 @@ class ResidualBlock(Layer):
         np.matmul(dz1.T, x, out=grad_w1)
         dz1.sum(axis=0, out=grad_b1)
         # the skip path passes upstream through untouched
-        grad_x = dz1 @ self.w1 + upstream if input_grad else None
-        return grad_x, grads
+        return dz1 @ self.w1 + upstream if input_grad else None
 
 
 class Conv1D(Layer):
@@ -322,9 +305,6 @@ class Conv1D(Layer):
     kind = "conv1d"
     arrays = {"kernels": ("k", "width"), "bias": ("k",)}
     params = {"kernels": True, "bias": False}
-
-    def __init__(self, kernels, bias):
-        self._store(kernels, bias)
 
     @classmethod
     def init(cls, n_kernels: int, width: int, rng: Rng) -> "Conv1D":
@@ -354,19 +334,19 @@ class Conv1D(Layer):
         b, k, l = y.shape
         return y.reshape(b, k * l), (x, win, (b, k, l))
 
-    def backward(self, cache, upstream, input_grad=True, out=None):
+    def backward(self, cache, upstream, out, input_grad):
         x, win, (b, k, l) = cache
-        grads = grad_kern, grad_bias = self._grad_out(out)
+        grad_kern, grad_bias = out
         dy = upstream.reshape(b, k, l)
         dy.sum(axis=(0, 2), out=grad_bias)
         np.einsum("bkl,blw->kw", dy, win, out=grad_kern)
         if not input_grad:
-            return None, grads
+            return None
         grad_x = np.zeros_like(x)
         dcol = np.einsum("bkl,kw->blw", dy, self.kernels)  # [b, L, width]
         for s in range(self.width):
             grad_x[:, s : s + l] += dcol[:, :, s]
-        return grad_x, grads
+        return grad_x
 
 
 LAYER_TYPES = {

@@ -165,8 +165,8 @@ def backward(model: ModelGraph, cache, labels) -> np.ndarray:
         raise StateError("cache does not match the model's layer stack")
     _, upstream = L.softmax_cross_entropy(cache["logits"], labels)
     for i in reversed(range(len(model.layers))):
-        upstream, _ = model.layers[i].backward(cache["layer_caches"][i], upstream,
-                                               input_grad=i > 0, out=model.layer_grads[i])
+        upstream = model.layers[i].backward(cache["layer_caches"][i], upstream,
+                                            model.layer_grads[i], i > 0)
     return model.grads
 
 

@@ -24,6 +24,8 @@ VAL_FRACTION = 0.1
 EARLY_STOP_MIN_DELTA = 1e-6
 GRAD_CHECK_MAX_PARAMS = 5000
 GRAD_CHECK_STEPS = (1e-5, 1e-4)  # each entry scores its best step; see grad_check_report
+CHECK_BATCH_ROWS = 8  # find_check_batch's batch size
+CHECK_BATCH_MARGIN = 1e-3  # and the least |rectifier input| it accepts
 
 
 @dataclass
@@ -237,12 +239,12 @@ def kink_distance(model: M.ModelGraph, cache) -> float:
     return dist
 
 
-def find_check_batch(model: M.ModelGraph, features, labels, size: int = 8,
-                     margin: float = 1e-3):
-    """First run of ``size`` consecutive rows whose rectifier pre-activations
-    all clear ``margin``, giving a differentiable point for grad_check."""
+def find_check_batch(model: M.ModelGraph, features, labels):
+    """First run of ``CHECK_BATCH_ROWS`` consecutive rows whose rectifier
+    pre-activations all clear ``CHECK_BATCH_MARGIN``: a differentiable point."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    size, margin = CHECK_BATCH_ROWS, CHECK_BATCH_MARGIN
     with _pinned_running_stats(model):
         for start in range(0, features.shape[0], size):
             batch = features[start : start + size]

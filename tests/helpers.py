@@ -1,5 +1,6 @@
 """Shared test utilities: a scalar reference RNG, finite-difference slopes,
-the combined vector of one feature row and a scalar reference combiner.
+gradient buffers for a layer's backward, the combined vector of one feature
+row and a scalar reference combiner.
 
 The reference generator is written as the plain sequential algorithm from the
 published splitmix64 description, deliberately sharing no code with the
@@ -67,6 +68,13 @@ def fd_wrt(arr, f, h=1e-5):
         flat[i] = orig
         gflat[i] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def grad_buffers(layer):
+    """The ``out`` a layer's ``backward`` writes into: one NaN-filled array
+    per entry of ``params``, shaped like it, so an entry left unwritten
+    shows."""
+    return [np.full_like(getattr(layer, name), np.nan) for name in layer.params]
 
 
 def combine_row(x, m, approach):

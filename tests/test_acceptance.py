@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import helpers
-from helpers import central_diff, combine_row, fd_wrt, rel_err
+from helpers import central_diff, combine_row, fd_wrt, grad_buffers, rel_err
 
 from twistnet.cli import main as cli_main
 from twistnet.data import (
@@ -92,7 +92,8 @@ def layer_suite(seed):
     x = np.asarray(r.normal(size=(4, 5)))
     c = r.normal(size=(4, 3))
     _, cache = layer.forward(x)
-    gx, (gw, gb) = layer.backward(cache, c)
+    gw, gb = grads = grad_buffers(layer)
+    gx = layer.backward(cache, c, grads, True)
     f = _sum_objective(layer, x, c)
     errs["dense"] = max(rel_err(gw, fd_wrt(layer.weights, f)),
                         rel_err(gb, fd_wrt(layer.bias, f)), rel_err(gx, fd_wrt(x, f)))
@@ -101,7 +102,7 @@ def layer_suite(seed):
     x = np.asarray(r.normal(size=(4, 6)))
     c = r.normal(size=(4, 6))
     _, cache = layer.forward(x)
-    gx, _ = layer.backward(cache, c)
+    gx = layer.backward(cache, c, [], True)
     errs["relu"] = rel_err(gx, fd_wrt(x, _sum_objective(layer, x, c)))
 
     bn = BatchNorm.init(4)
@@ -110,7 +111,8 @@ def layer_suite(seed):
     x = np.asarray(r.normal(size=(6, 4)))
     c = r.normal(size=(6, 4))
     _, cache = bn.forward(x, TRAIN)
-    gx, (gg, gb) = bn.backward(cache, c)
+    gg, gb = grads = grad_buffers(bn)
+    gx = bn.backward(cache, c, grads, True)
     f = _sum_objective(bn, x, c, TRAIN)
     errs["batchnorm"] = max(rel_err(gx, fd_wrt(x, f)), rel_err(gg, fd_wrt(bn.gamma, f)),
                             rel_err(gb, fd_wrt(bn.beta, f)))
@@ -120,7 +122,7 @@ def layer_suite(seed):
     x = np.asarray(r.normal(size=(4, 5)))
     c = r.normal(size=(4, 5))
     _, cache = drop.forward(x, INFER)
-    gx, _ = drop.backward(cache, c)
+    gx = drop.backward(cache, c, [], True)
     errs["dropout"] = rel_err(gx, fd_wrt(x, _sum_objective(drop, x, c)))
 
     block = ResidualBlock.init(4, Rng(seed))
@@ -129,7 +131,8 @@ def layer_suite(seed):
     x = np.asarray(r.normal(size=(5, 4)))
     c = r.normal(size=(5, 4))
     _, cache = block.forward(x)
-    gx, (g1, g2, g3, g4) = block.backward(cache, c)
+    g1, g2, g3, g4 = grads = grad_buffers(block)
+    gx = block.backward(cache, c, grads, True)
     f = _sum_objective(block, x, c)
     errs["residual"] = max(
         rel_err(g1, fd_wrt(block.w1, f)), rel_err(g2, fd_wrt(block.b1, f)),
@@ -141,7 +144,8 @@ def layer_suite(seed):
     x = np.asarray(r.normal(size=(3, 9)))
     c = r.normal(size=(3, 2 * conv.output_length(9)))
     _, cache = conv.forward(x)
-    gx, (gk, gb) = conv.backward(cache, c)
+    gk, gb = grads = grad_buffers(conv)
+    gx = conv.backward(cache, c, grads, True)
     f = _sum_objective(conv, x, c)
     errs["conv1d"] = max(rel_err(gk, fd_wrt(conv.kernels, f)),
                          rel_err(gb, fd_wrt(conv.bias, f)), rel_err(gx, fd_wrt(x, f)))
@@ -337,7 +341,7 @@ def criterion_6():
     x = np.asarray(np.random.default_rng(0).normal(size=(6, 4)))
     y, cache = block.forward(x)
     upstream = np.asarray(np.random.default_rng(1).normal(size=(6, 4)))
-    grad_x, _ = block.backward(cache, upstream)
+    grad_x = block.backward(cache, upstream, grad_buffers(block), True)
     forward_exact = np.array_equal(y, x)
     backward_exact = np.array_equal(grad_x, upstream)
     ok = forward_exact and backward_exact

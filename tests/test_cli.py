@@ -94,6 +94,7 @@ def test_parse_run_config_collects_every_problem():
         "seed": -1,
         "model": {"hiden1": 5},
         "train": {"learning_rat": 0.01, "batch_size": "ten"},
+        "combination": {"approach": "cartesian"},
     }
     with pytest.raises(ConfigError) as exc:
         parse_run_config(doc)
@@ -103,6 +104,7 @@ def test_parse_run_config_collects_every_problem():
     assert "batch_size" in msg and "int" in msg
     assert "svm" in msg
     assert "'seed' must be in [0, 2**64), got -1" in msg
+    assert "unknown approach 'cartesian'" in msg
 
 
 def test_parse_run_config_requires_dataset_and_label():
@@ -653,6 +655,14 @@ def shorten_b1(doc):
     residual["shape"][1][0] -= 1
 
 
+def narrow_batchnorm(doc):
+    """Every batch-norm array one entry short, with its shape record to match."""
+    norm = doc["layers"][3]
+    for values, shape in zip(norm["values"], norm["shape"]):
+        values.pop()
+        shape[0] -= 1
+
+
 def widen_head(doc):
     """One more row in the head dense layer, so it scores an extra class."""
     head = doc["layers"][-1]
@@ -689,6 +699,7 @@ MALFORMED_CHECKPOINTS = {
                                           d["layers"][3]["shape"].pop()), "4 arrays"),
     "dense_bias_short": (lambda d: d["layers"][0]["values"][1].pop(), "'bias'"),
     "layers_not_a_list": (lambda d: d.update(layers=5), "'layers'"),
+    "layer_not_an_object": (setting(1, "layers", 0), "'layers' must be a list of objects"),
     "ragged_weight_row": (lambda d: d["layers"][0]["values"][0][0].pop(), "'weights'"),
     "stats_without_std": (lambda d: d["normalization_stats"].pop("std"), "'std'"),
     "stats_not_an_object": (lambda d: d.update(normalization_stats=5),
@@ -704,6 +715,7 @@ MALFORMED_CHECKPOINTS = {
     "unknown_kind": (lambda d: d.update(kind="bogus"), "bogus"),
     "layer_unknown_key": (lambda d: d["layers"][0].update(colour="red"), "colour"),
     "residual_b1_short": (shorten_b1, "'b1'"),
+    "batchnorm_narrower": (narrow_batchnorm, "batchnorm expects 19 columns, got 20"),
     "head_one_row_wider": (widen_head, "class scores"),
     "dense_weight_nan": (setting(math.nan, "layers", 0, "values", 0, 0, 0), "'weights'"),
     "residual_w2_infinity": (setting(math.inf, "layers", 2, "values", 2, 0, 0), "'w2'"),

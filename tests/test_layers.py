@@ -17,7 +17,6 @@ from twistnet.layers import (
     he_init,
     layer_from_entry,
     relu,
-    relu_backward,
     softmax_cross_entropy,
 )
 from twistnet.ndcore import Rng
@@ -26,6 +25,7 @@ from helpers import (
     batchnorm_moments_reference,
     dropout_reference,
     fd_wrt,
+    grad_buffers,
     rel_err,
     softmax_cross_entropy_reference,
 )
@@ -42,7 +42,7 @@ def test_relu_values():
 def test_relu_backward_subgradient_zero_at_kink():
     x = np.array([-1.0, 0.0, 2.0])
     up = np.array([5.0, 5.0, 5.0])
-    assert relu_backward(x, up).tolist() == [0.0, 0.0, 5.0]
+    assert ReLULayer().backward(x, up, [], True).tolist() == [0.0, 0.0, 5.0]
 
 
 def test_he_init_shape_and_stats():
@@ -119,8 +119,9 @@ def test_dense_gradients_match_finite_differences():
         up = c
         for stage in after:
             _, stage_cache = stage.forward(z)
-            up, _ = stage.backward(stage_cache, c)
-        grad_x, (grad_w, grad_b) = layer.backward(cache, up)
+            up = stage.backward(stage_cache, c, [], True)
+        grads = grad_w, grad_b = grad_buffers(layer)
+        grad_x = layer.backward(cache, up, grads, True)
         assert rel_err(grad_w, fd_wrt(layer.weights, loss)) < 1e-7
         assert rel_err(grad_b, fd_wrt(layer.bias, loss)) < 1e-7
         assert rel_err(grad_x, fd_wrt(x, loss)) < 1e-7
@@ -140,10 +141,9 @@ def test_relu_layer_forward_backward():
     x = np.array([[-1.0, 2.0]])
     y, cache = layer.forward(x)
     assert y.tolist() == [[0.0, 2.0]]
-    grad_x, grads = layer.backward(cache, np.array([[3.0, 3.0]]))
+    grad_x = layer.backward(cache, np.array([[3.0, 3.0]]), [], True)
     assert grad_x.tolist() == [[0.0, 3.0]]
-    assert grads == []
-    assert layer.params == {}
+    assert layer.params == {} and grad_buffers(layer) == []
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def test_batchnorm_scale_shift_gradients():
     x = np.asarray(r.normal(size=(8, 3)))
     up = r.normal(size=(8, 3))
     y, cache = bn.forward(x, TRAIN)
-    _, (grad_gamma, grad_beta) = bn.backward(cache, up)
+    grad_gamma, grad_beta = grads = grad_buffers(bn)
+    bn.backward(cache, up, grads, True)
     xhat = cache[2]
     assert np.allclose(grad_gamma, (up * xhat).sum(axis=0), atol=1e-12)
     assert np.allclose(grad_beta, up.sum(axis=0), atol=1e-12)
@@ -226,7 +227,7 @@ def test_batchnorm_batch_grad_columns_sum_to_zero():
     bn = BatchNorm.init(4)
     x = np.asarray(r.normal(size=(10, 4)))
     y, cache = bn.forward(x, TRAIN)
-    grad_x, _ = bn.backward(cache, r.normal(size=(10, 4)))
+    grad_x = bn.backward(cache, r.normal(size=(10, 4)), grad_buffers(bn), True)
     assert np.max(np.abs(grad_x.sum(axis=0))) < 1e-10
 
 
@@ -243,7 +244,8 @@ def test_batchnorm_gradients_match_finite_differences():
         return float(np.sum(c * y))
 
     y, cache = bn.forward(x, TRAIN)
-    grad_x, (grad_gamma, grad_beta) = bn.backward(cache, c)
+    grad_gamma, grad_beta = grads = grad_buffers(bn)
+    grad_x = bn.backward(cache, c, grads, True)
     assert rel_err(grad_x, fd_wrt(x, loss_batch)) < 1e-6
     assert rel_err(grad_gamma, fd_wrt(bn.gamma, loss_batch)) < 1e-6
     assert rel_err(grad_beta, fd_wrt(bn.beta, loss_batch)) < 1e-6
@@ -253,7 +255,7 @@ def test_batchnorm_gradients_match_finite_differences():
         return float(np.sum(c * y))
 
     y, cache = bn.forward(x, INFER)
-    grad_x, _ = bn.backward(cache, c)
+    grad_x = bn.backward(cache, c, grad_buffers(bn), True)
     assert rel_err(grad_x, fd_wrt(x, loss_running)) < 1e-6
 
 
@@ -307,8 +309,8 @@ def test_dropout_needs_rng_in_train():
     x = np.arange(4.0).reshape(2, 2)
     y, cache = Dropout().forward(x, TRAIN)
     assert y is x and cache is None
-    grad_x, grads = Dropout().backward(cache, x)
-    assert grad_x is x and grads == []
+    assert Dropout().backward(cache, x, [], True) is x
+    assert grad_buffers(Dropout()) == []
     with pytest.raises(TypeError):  # the rate is a constant of the class
         Dropout(0.25)
 
@@ -329,8 +331,7 @@ def test_dropout_backward_masks_like_forward():
     layer = Dropout()
     y, cache = layer.forward(x, TRAIN, Rng(1))
     up = np.full((4, 5), 3.0)
-    grad_x, grads = layer.backward(cache, up)
-    assert grads == []
+    grad_x = layer.backward(cache, up, [], True)
     assert np.array_equal(grad_x != 0.0, y != 0.0)
     assert np.allclose(grad_x[y != 0.0], 6.0)
 
@@ -347,7 +348,7 @@ def test_dropout_matches_mask_times_scale_bytes(rate):
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and 1e308 * scale
         y, cache = Dropout().forward(x, TRAIN, Rng(5))
         assert y.tobytes() == dropout_reference(x, keep, scale).tobytes()
-        grad_x, _ = Dropout().backward(cache, up)
+        grad_x = Dropout().backward(cache, up, [], True)
         assert grad_x.tobytes() == dropout_reference(up, keep, scale).tobytes()
 
 
@@ -374,7 +375,8 @@ def test_residual_zero_block_is_exact_identity():
     y, cache = block.forward(x)
     assert np.array_equal(y, x)  # bit-for-bit, not just close
     up = np.asarray(np.random.default_rng(1).normal(size=(5, 3)))
-    grad_x, grads = block.backward(cache, up)
+    grads = grad_buffers(block)
+    grad_x = block.backward(cache, up, grads, True)
     assert np.array_equal(grad_x, up)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
@@ -404,7 +406,8 @@ def test_residual_gradients_match_finite_differences():
         return float(np.sum(c * y))
 
     y, cache = block.forward(x)
-    grad_x, (g_w1, g_b1, g_w2, g_b2) = block.backward(cache, c)
+    g_w1, g_b1, g_w2, g_b2 = grads = grad_buffers(block)
+    grad_x = block.backward(cache, c, grads, True)
     assert rel_err(g_w1, fd_wrt(block.w1, loss)) < 1e-6
     assert rel_err(g_b1, fd_wrt(block.b1, loss)) < 1e-6
     assert rel_err(g_w2, fd_wrt(block.w2, loss)) < 1e-6
@@ -477,7 +480,8 @@ def test_conv1d_gradients_match_finite_differences():
         return float(np.sum(c * y))
 
     y, cache = conv.forward(x)
-    grad_x, (g_kern, g_bias) = conv.backward(cache, c)
+    g_kern, g_bias = grads = grad_buffers(conv)
+    grad_x = conv.backward(cache, c, grads, True)
     assert rel_err(g_kern, fd_wrt(conv.kernels, loss)) < 1e-6
     assert rel_err(g_bias, fd_wrt(conv.bias, loss)) < 1e-6
     assert rel_err(grad_x, fd_wrt(x, loss)) < 1e-6
@@ -640,8 +644,10 @@ def test_functional_wrappers_agree_with_methods():
     bn = BatchNorm.init(3)
     assert np.array_equal(bn.forward(x, INFER)[0], bn.forward(x, INFER)[0])
     _, cache = bn.forward(x, TRAIN)
-    gx, (gg, gb) = bn.backward(cache, up)
-    gx2, (gg2, gb2) = bn.backward(cache, up)
+    gg, gb = grads = grad_buffers(bn)
+    gx = bn.backward(cache, up, grads, True)
+    gg2, gb2 = grads2 = grad_buffers(bn)
+    gx2 = bn.backward(cache, up, grads2, True)
     assert np.array_equal(gx, gx2) and np.array_equal(gg, gg2) and np.array_equal(gb, gb2)
 
     assert np.array_equal(Dropout().forward(x, INFER)[0], x)
@@ -649,8 +655,9 @@ def test_functional_wrappers_agree_with_methods():
     block = ResidualBlock.init(3, Rng(2))
     y, cache = block.forward(x)
     assert np.array_equal(block.forward(x)[0], y)
-    gx, grads = block.backward(cache, up)
-    gx2, grads2 = block.backward(cache, up)
+    grads, grads2 = grad_buffers(block), grad_buffers(block)
+    gx = block.backward(cache, up, grads, True)
+    gx2 = block.backward(cache, up, grads2, True)
     assert np.array_equal(gx, gx2)
     assert all(np.array_equal(a, b) for a, b in zip(grads, grads2))
 
@@ -670,20 +677,20 @@ INPUT_GRAD_CASES = {
 
 @pytest.mark.parametrize("case", INPUT_GRAD_CASES)
 def test_backward_writes_into_out(case):
-    # given out, the parameter gradients land there, bit-equal to fresh ones
+    # every entry of a NaN-filled out is written, the same bytes whether or
+    # not the input gradient is computed
     make, mode, seed, cols = INPUT_GRAD_CASES[case]
     layer = make()
     r = np.random.default_rng(25)
     x = np.asarray(r.normal(size=(6, cols)))
     y, cache = layer.forward(x, mode, None if seed is None else Rng(seed))
     up = r.normal(size=y.shape)
-    grad_x, fresh = layer.backward(cache, up)
-    out = [np.full_like(g, np.nan) for g in fresh]
-    for input_grad in (True, False):
-        got_x, grads = layer.backward(cache, up, input_grad=input_grad, out=out)
-        assert grads is out if layer.params else grads == []
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(out, fresh))
-        assert got_x is None if not input_grad else got_x.tobytes() == grad_x.tobytes()
+    with_x, without_x = grad_buffers(layer), grad_buffers(layer)
+    layer.backward(cache, up, with_x, True)
+    assert layer.backward(cache, up, without_x, False) is None
+    assert len(with_x) == len(layer.params)
+    assert all(np.isfinite(g).all() for g in with_x)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(with_x, without_x))
 
 
 @pytest.mark.parametrize("case", INPUT_GRAD_CASES)
@@ -694,9 +701,15 @@ def test_backward_without_input_grad(case):
     x = np.asarray(r.normal(size=(6, cols)))
     y, cache = layer.forward(x, mode, None if seed is None else Rng(seed))
     up = r.normal(size=y.shape)
-    grad_x, grads = layer.backward(cache, up)
-    skipped, same = layer.backward(cache, up, input_grad=False)
+    grad_x = layer.backward(cache, up, grad_buffers(layer), True)
     assert grad_x is not None and grad_x.shape == x.shape
-    assert skipped is None
-    assert len(same) == len(grads) == len(layer.params)
-    assert all(np.array_equal(a, b) for a, b in zip(same, grads))
+    assert layer.backward(cache, up, grad_buffers(layer), False) is None
+
+
+def test_constructor_takes_one_value_per_array():
+    # the base class stores the declared arrays, and only those
+    for cls in LAYER_TYPES.values():
+        n = len(cls.arrays)
+        for count in {max(n - 1, 0), n + 1} - {n}:
+            with pytest.raises(TypeError, match=f"takes {n} arrays"):
+                cls(*[np.ones(1)] * count)

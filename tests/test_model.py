@@ -47,7 +47,7 @@ from twistnet.model import (
 from twistnet.ndcore import Rng
 from twistnet.train import TrainConfig, train_loop
 
-from helpers import rel_err, softmax_rows
+from helpers import grad_buffers, rel_err, softmax_rows
 
 
 def toy_model(input_dim=3, n_classes=2, seed=0):
@@ -258,13 +258,14 @@ def test_backward_skips_only_the_first_input_gradient(kind, monkeypatch):
     _, upstream = softmax_cross_entropy(cache["logits"], y)
     pieces = []
     for layer, layer_cache in reversed(list(zip(model.layers, cache["layer_caches"]))):
-        upstream, grads = layer.backward(layer_cache, upstream)
+        grads = grad_buffers(layer)
+        upstream = layer.backward(layer_cache, upstream, grads, True)
         pieces[:0] = [g.ravel() for g in grads]
     seen = []
     for cls in {type(layer) for layer in model.layers}:
-        def record(self, layer_cache, upstream, input_grad=True, out=None, _orig=cls.backward):
+        def record(self, layer_cache, upstream, out, input_grad, _orig=cls.backward):
             seen.append((self, input_grad))
-            return _orig(self, layer_cache, upstream, input_grad, out)
+            return _orig(self, layer_cache, upstream, out, input_grad)
         monkeypatch.setattr(cls, "backward", record)
     got = backward(model, cache, y)
     assert seen == [(layer, i > 0) for i, layer in reversed(list(enumerate(model.layers)))]
@@ -276,7 +277,8 @@ def layerwise_gradients(model, cache, labels):
     _, upstream = softmax_cross_entropy(cache["logits"], labels)
     pieces = []
     for layer, layer_cache in reversed(list(zip(model.layers, cache["layer_caches"]))):
-        upstream, grads = layer.backward(layer_cache, upstream, out=None)
+        grads = grad_buffers(layer)
+        upstream = layer.backward(layer_cache, upstream, grads, True)
         pieces[:0] = [g.ravel() for g in grads]
     return np.concatenate(pieces)
 

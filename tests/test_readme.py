@@ -3,10 +3,13 @@ checkpoint.json key table has the same keys, types and nullability; the
 run-config table lists exactly the optional top-level keys and names each
 section's fields with their defaults; the
 layer-entry paragraph names every stored array and the layers that store
-none. Its Python quick start runs and prints the accuracy it claims."""
+none; the layer contract quotes the one signature of every layer's
+``backward``. Its Python quick start runs and prints the accuracy it claims."""
 
+import inspect
 import json
 import re
+from functools import partial
 from dataclasses import fields
 from pathlib import Path
 
@@ -84,3 +87,13 @@ def test_readme_layer_entry_paragraph_names_every_array():
     bare = sorted(kind for kind, cls in LAYER_TYPES.items() if not cls.arrays)
     assert bare == ["dropout", "relu"]
     assert "relu and dropout entries store none" in paragraph
+
+
+def test_readme_quotes_the_layer_backward_signature():
+    text = README.read_text(encoding="utf-8").split("## Parameters and training", 1)[1]
+    quoted = re.search(r"Each layer's\s+`backward(\([^`]*\))`", text).group(1)
+    # bound to a stand-in self, so the signature reads as a call site does
+    signatures = {kind: str(inspect.signature(partial(cls.backward, None)))
+                  for kind, cls in LAYER_TYPES.items()}
+    assert signatures == {kind: quoted for kind in LAYER_TYPES}
+    assert quoted == "(cache, upstream, out, input_grad)"

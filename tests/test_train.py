@@ -22,6 +22,8 @@ from twistnet.train import (
     ADAM_EPSILON,
     BETA1,
     BETA2,
+    CHECK_BATCH_MARGIN,
+    CHECK_BATCH_ROWS,
     EARLY_STOP_MIN_DELTA,
     GRAD_CHECK_MAX_PARAMS,
     L2_LAMBDA,
@@ -361,8 +363,10 @@ def test_find_check_batch_contract():
     raw = synth_interaction(200, 6, PRODUCT_SIGN, 0.1, Rng(1))
     combined = transform_dataset(raw.features, CombinationSpec(m=2)).values
     feats = (combined - combined.mean(axis=0)) / combined.std(axis=0)
-    batch, labels = find_check_batch(model, feats, raw.labels, size=8)
-    assert batch.shape == (8, feats.shape[1])
-    assert labels.shape == (8,)
-    with pytest.raises(DataError):
-        find_check_batch(model, feats, raw.labels, margin=1e9)
+    batch, labels = find_check_batch(model, feats, raw.labels)
+    assert batch.shape == (CHECK_BATCH_ROWS, feats.shape[1])
+    assert labels.shape == (CHECK_BATCH_ROWS,)
+    # zero rows through zero biases put every first-layer rectifier input on the kink
+    with pytest.raises(DataError, match=f"no batch of {CHECK_BATCH_ROWS} rows keeps "
+                                        f"rectifier inputs {CHECK_BATCH_MARGIN} away"):
+        find_check_batch(model, np.zeros_like(feats), raw.labels)
