@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DataError, ParseError, SchemaError
 from .featcomb import (
     CombinationSpec,
+    block_rows,
     combined_feature_names,
     enumerate_subsets,
     transform_dataset,
@@ -150,33 +151,63 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def zscore_fit(train: Dataset) -> NormStats:
-    """Population mean/std per feature; constant features get std 1."""
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    """Population mean/std per feature; constant features get std 1.
+
+    The variance folds the squared deviations of one row block at a time
+    into a running row, carried in through each block's first row, so no
+    temporary is larger than a block. numpy sums axis 0 of a C-ordered
+    block of two or more columns row by row, so on such input the result is
+    byte-equal to ``np.mean`` and ``np.std(axis=0)``. Any other input (one
+    column, F-ordered, a column slice) goes to ``np.std`` itself: there
+    numpy may sum a column pairwise, which no row fold reproduces, so it
+    keeps the bytes and pays one full-size temporary.
+    """
+    x = train.features
+    mean = x.mean(axis=0)
+    if x.flags.c_contiguous and x.shape[1] > 1:
+        acc = np.zeros_like(mean)
+        height = block_rows(x.shape[1])
+        for start in range(0, x.shape[0], height):
+            d = x[start : start + height] - mean
+            d *= d
+            d[0] += acc
+            np.add.reduce(d, axis=0, out=acc)
+        acc /= x.shape[0]
+        std = np.sqrt(acc, out=acc)
+    else:
+        std = x.std(axis=0)
     std = np.where(std < ZSCORE_STD_FLOOR, 1.0, std)
     return NormStats(mean=mean, std=std)
 
 
 def zscore_apply(ds: Dataset, stats: NormStats) -> Dataset:
-    normed = ds.features - stats.mean
-    normed /= stats.std
-    return replace(ds, features=normed, norm_stats=stats)
+    """Normalise ``ds.features`` in place by ``stats``; returns ``ds`` with
+    ``norm_stats`` set, sharing its features. The caller must own the block."""
+    ds.features -= stats.mean
+    ds.features /= stats.std
+    return replace(ds, norm_stats=stats)
 
 
 def combine(ds: Dataset, spec: CombinationSpec | None):
     """Expand ``ds`` over every m-subset of its features and name the new
     columns. Returns (combined dataset, subsets); without a spec, ``ds``
-    passes through unchanged with subsets None. DataError naming the row and
-    the column if a combined value is not finite."""
+    passes through unchanged with subsets None. DataError naming the first
+    row and column whose combined value is not finite; the check runs one
+    row block at a time, so it never builds a mask of the whole block."""
     if spec is None:
         return ds, None
     with np.errstate(over="ignore", invalid="ignore"):  # checked and named below
         combined = transform_dataset(ds.features, spec)
     names = combined_feature_names(combined.subsets, spec, ds.feature_names)
-    if not np.isfinite(combined.values).all():
-        r, c = np.argwhere(~np.isfinite(combined.values))[0]
-        raise DataError(f"combined column {names[c]!r} overflows at data row {r + 1}")
-    return replace(ds, features=combined.values, feature_names=names), combined.subsets
+    values = combined.values
+    height = block_rows(values.shape[1])
+    for start in range(0, values.shape[0], height):
+        block = values[start : start + height]
+        if not np.isfinite(block).all():
+            r, c = np.argwhere(~np.isfinite(block))[0]
+            raise DataError(f"combined column {names[c]!r} overflows at data row "
+                            f"{start + r + 1}")
+    return replace(ds, features=values, feature_names=names), combined.subsets
 
 
 @dataclass
@@ -197,11 +228,15 @@ class Pipeline:
     @staticmethod
     def fit(raw: Dataset, spec: CombinationSpec | None) -> tuple["Pipeline", Dataset]:
         """Fit on ``raw``; returns the checked pipeline and the model-ready
-        dataset. DataError if ``raw`` holds fewer than 2 classes."""
+        dataset, whose block is z-scored in place: the expanded block, or a
+        C-ordered copy of ``raw``'s features without a spec, never ``raw``'s
+        own. DataError if ``raw`` holds fewer than 2 classes."""
         if raw.n_classes < 2:
             raise DataError(f"label column {raw.label_name!r} holds {raw.n_classes} class, "
                             "need at least 2")
         work, subsets = combine(raw, spec)
+        if work is raw:
+            work = replace(raw, features=raw.features.copy())
         with np.errstate(over="ignore", invalid="ignore"):  # check() names the column
             stats = zscore_fit(work)
         pipeline = Pipeline(raw.feature_names, raw.class_names, raw.label_name, spec,
@@ -253,7 +288,13 @@ class Pipeline:
 
 
 def stratified_split(ds: Dataset, fractions, rng: Rng) -> tuple[Dataset, Dataset, Dataset]:
-    """Per-class proportional split with largest-remainder rounding.
+    """The three datasets of :func:`split_rows`' row indices."""
+    return tuple(ds.take(rows) for rows in split_rows(ds, fractions, rng))
+
+
+def split_rows(ds: Dataset, fractions, rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted row indices of a per-class proportional split with
+    largest-remainder rounding.
 
     ``fractions`` is (train, val, test); zero entries yield empty splits.
     Within each class the sample order is shuffled by ``rng``. DataError if
@@ -287,7 +328,7 @@ def stratified_split(ds: Dataset, fractions, rng: Rng) -> tuple[Dataset, Dataset
         for s in range(3):
             parts[s].extend(members[offset : offset + counts[s]].tolist())
             offset += counts[s]
-    return tuple(ds.take(sorted(p)) for p in parts)
+    return tuple(np.array(sorted(p), dtype=np.int64) for p in parts)
 
 
 PRODUCT_SIGN = "ProductSign"

@@ -77,13 +77,18 @@ def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 BLOCK_BYTES = 1 << 18
 
 
+def block_rows(width: int) -> int:
+    """Rows in one block of ``width`` float64 columns: about BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
 def _combine_rows(x: np.ndarray, subsets, approach: str, out: np.ndarray) -> None:
     """Write one combiner's value of every row of ``x`` into ``out``, a block
     of rows at a time; the caller has validated ``approach``."""
     # [m, n_sub]: member i of each subset; every index is in range, so "clip"
     # only spares take its bounds check and the buffered copy into ``out``
     cols = np.array(subsets, dtype=np.intp).T
-    height = max(1, BLOCK_BYTES // (out.itemsize * len(subsets)))
+    height = block_rows(len(subsets))
     for start in range(0, x.shape[0], height):
         xb = x[start : start + height]
         ob = out[start : start + height]

@@ -10,7 +10,9 @@ import numpy as np
 
 from . import layers as L
 from . import model as M
-from .data import Dataset, stratified_split
+# stratified_split is unused here; perfbench's binding-site test asserts that
+# it is bound in this module (ROADMAP item 1 cuts perfbench loose from that)
+from .data import Dataset, split_rows, stratified_split
 from .errors import CapacityError, DataError, ShapeError
 from .ndcore import Rng
 
@@ -136,9 +138,11 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     """Mini-batch Adam with L2 decay and patience-based early stopping.
 
     A stratified, seeded validation slice of VAL_FRACTION of the rows is
-    carved off. Training stops once validation loss has failed to improve
-    by at least EARLY_STOP_MIN_DELTA for ``early_stop_patience`` consecutive
-    epochs, and the parameters from the best epoch are restored.
+    carved off; it is the only rows copied up front, as each batch is
+    gathered from ``train_set`` by its fit-row indices. Training stops once
+    validation loss has failed to improve by at least EARLY_STOP_MIN_DELTA
+    for ``early_stop_patience`` consecutive epochs, and the parameters from
+    the best epoch are restored.
     """
     cfg.validate()
     if train_set.n_samples == 0:
@@ -147,9 +151,8 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
         raise ValueError("training set must contain at least 2 classes")
 
     rng = Rng(cfg.seed)
-    fit_set, val_set, _ = stratified_split(
-        train_set, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0), rng
-    )
+    fit_rows, val_rows, _ = split_rows(train_set, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0), rng)
+    val_set = train_set.take(val_rows)
 
     params = model.params
     state = AdamState(params)
@@ -158,7 +161,7 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     best_params = params.copy()
     best_epoch = 0
     stale = 0
-    n = fit_set.n_samples
+    n = fit_rows.size
 
     # a diverging run overflows inside the pass; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,9 +169,9 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
             order = rng.permutation(n)
             total_loss = 0.0
             for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                xb = fit_set.features[idx]
-                yb = fit_set.labels[idx]
+                idx = fit_rows[order[start : start + cfg.batch_size]]
+                xb = train_set.features[idx]
+                yb = train_set.labels[idx]
                 _, cache = M.forward(model, xb, L.TRAIN, rng)
                 data_loss = M.loss_from_cache(cache, yb)
                 grads = M.backward(model, cache, yb)

@@ -9,6 +9,7 @@ import pytest
 from twistnet.data import (
     PRODUCT_SIGN,
     THREE_WAY_PRODUCT_SIGN,
+    ZSCORE_STD_FLOOR,
     Dataset,
     NormStats,
     Pipeline,
@@ -20,7 +21,7 @@ from twistnet.data import (
     zscore_fit,
 )
 from twistnet.errors import DataError, ParseError, SchemaError
-from twistnet.featcomb import PAIRWISE_SUM, CombinationSpec
+from twistnet.featcomb import PAIRWISE_SUM, CombinationSpec, block_rows
 from twistnet.ndcore import Rng
 
 from helpers import save_csv_reference
@@ -221,8 +222,8 @@ def test_zscore_two_point_column():
     assert ds.norm_stats is None  # original untouched
 
 
-def test_zscore_apply_allocates_one_block():
-    # the z-scored block is the only full-size array zscore_apply allocates
+def test_zscore_apply_normalises_in_place():
+    # the caller's block is normalised where it lies; nothing full-size is allocated
     r = np.random.default_rng(1)
     ds = Dataset(r.normal(size=(2000, 100)), np.zeros(2000, dtype=int), ["only"],
                  [f"f{i}" for i in range(100)])
@@ -234,9 +235,59 @@ def test_zscore_apply_allocates_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * ds.features.nbytes
-    assert np.array_equal(ds.features, before)  # original untouched
-    assert np.array_equal(out.features, (before - stats.mean) / stats.std)
+    assert np.shares_memory(out.features, ds.features)
+    assert peak < 0.05 * ds.features.nbytes
+    assert out.features.tobytes() == ((before - stats.mean) / stats.std).tobytes()
+
+
+def fold_case(rows, width=40):
+    """A C-ordered block with a constant column, a column of -0.0 and a
+    column offset by 1e8 among scaled normal ones."""
+    r = np.random.default_rng(rows)
+    x = r.normal(size=(rows, width)) * np.geomspace(1e-3, 1e3, width) + r.normal(size=width)
+    x[:, 0] = 7.25
+    x[:, 1] = -0.0
+    x[:, 2] += 1e8
+    return x
+
+
+def numpy_stats(x):
+    std = np.std(x, axis=0)
+    return np.mean(x, axis=0), np.where(std < ZSCORE_STD_FLOOR, 1.0, std)
+
+
+BLOCK = block_rows(40)
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_zscore_fit_fold_matches_numpy_bytes(rows):
+    x = fold_case(rows)
+    stats = zscore_fit(Dataset(x, np.zeros(rows, dtype=int), ["only"],
+                               [f"f{i}" for i in range(x.shape[1])]))
+    mean, std = numpy_stats(x)
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.std.tobytes() == std.tobytes()
+    assert stats.std[0] == stats.std[1] == 1.0  # constant columns hit the floor
+
+
+@pytest.mark.parametrize("layout", ["fortran", "one_column", "column_slice"])
+def test_zscore_fit_other_layouts_take_numpy_std(layout):
+    # anything but a C-ordered block of two or more columns gets np.std's own
+    # bytes: F order and a single column are summed pairwise, unlike a row fold
+    x = fold_case(2 * BLOCK + 1)
+    if layout == "fortran":
+        x = np.asfortranarray(x)
+    elif layout == "one_column":
+        x = np.tile(x[:, 3:4], (2 * block_rows(1) // x.shape[0] + 1, 1))  # past two blocks
+    else:
+        x = x[:, ::2]
+    stats = zscore_fit(Dataset(x, np.zeros(x.shape[0], dtype=int), ["only"],
+                               [f"f{i}" for i in range(x.shape[1])]))
+    mean, std = numpy_stats(x)
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.std.tobytes() == std.tobytes()
+    if layout == "fortran":  # the bits differ from the C-ordered block's
+        assert stats.mean.tobytes() != numpy_stats(np.ascontiguousarray(x))[0].tobytes()
 
 
 def test_zscore_constant_column_sentinel():
@@ -279,6 +330,40 @@ def test_pipeline_apply_reproduces_fit(spec):
     assert np.array_equal(again.features, prepared.features)
     assert again.feature_names == prepared.feature_names
     assert np.array_equal(again.labels, raw.labels)
+
+
+@pytest.mark.parametrize("spec", PIPELINE_SPECS)
+def test_pipeline_never_writes_the_callers_dataset(spec):
+    raw = synth_interaction(30, 4, PRODUCT_SIGN, 0.1, Rng(0))
+    before = raw.features.copy()
+    pipeline, prepared = Pipeline.fit(raw, spec)
+    again = pipeline.apply(raw)
+    assert raw.features.tobytes() == before.tobytes()
+    assert raw.norm_stats is None
+    for out in (prepared, again):
+        assert not np.shares_memory(out.features, raw.features)
+
+
+def test_pipeline_fit_allocates_only_its_output():
+    # expansion, finiteness check, fit and normalisation share the one block
+    raw = synth_interaction(3000, 20, PRODUCT_SIGN, 0.1, Rng(0))
+    tracemalloc.start()
+    try:
+        _, prepared = Pipeline.fit(raw, CombinationSpec(m=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * prepared.features.nbytes
+
+
+def test_pipeline_fit_names_the_first_overflow_past_the_first_block():
+    # rows 101 and 151 both overflow, in later row blocks; row order comes first
+    raw = synth_interaction(200, 40, PRODUCT_SIGN, 0.1, Rng(0))
+    assert block_rows(780) < 100
+    raw.features[100, [5, 6]] = 1e200
+    raw.features[150, [0, 1]] = 1e200
+    with pytest.raises(DataError, match="'comb_5_6' overflows at data row 101$"):
+        Pipeline.fit(raw, CombinationSpec(m=2))
 
 
 def test_pipeline_check_names_the_problem():

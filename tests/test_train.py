@@ -1,5 +1,6 @@
 """Adam, L2, the training loop, metrics, and the gradient-check harness."""
 
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -269,6 +270,23 @@ def test_train_loop_restores_best_epoch_parameters():
     assert abs(evaluate(model, val_set).mean_loss - recorded) < 1e-12
     best = min(e.val_loss for e in history.epochs)
     assert recorded <= best + EARLY_STOP_MIN_DELTA
+
+
+def test_train_loop_copies_only_the_validation_slice():
+    # batches are gathered from the caller's block by index, never from a fit copy
+    x = transform_dataset(np.random.default_rng(7).normal(size=(3000, 20)),
+                          CombinationSpec(m=3)).values
+    labels = (x[:, 0] > 0).astype(np.int64)
+    ds = Dataset(x, labels, ["neg", "pos"], [f"c{i}" for i in range(x.shape[1])])
+    model = build_tcn(ds.n_features, 2, ModelConfig(seed=0))
+    cfg = TrainConfig(batch_size=500, max_epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        train_loop(model, ds, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * x.nbytes
 
 
 def test_train_loop_losses_decrease_early():
