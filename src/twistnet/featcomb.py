@@ -11,17 +11,18 @@ Both operators are symmetric in the subset members, so reordering the input
 features permutes the combined columns but never changes their multiset.
 :func:`transform_dataset` applies one of them to every row of a batch, and
 can append the original features. It allocates the whole output once and
-fills the combined columns a block of rows at a time, each block about
-BLOCK_BYTES, so every member of every subset is folded into cells that are
-still in cache. The sum over all i<j of x_i*x_j, a global interaction term,
-is the pairwise_sum column at m = n. No expansion may enumerate more than
-MAX_COMBINED subsets.
+fills it a block of rows at a time, each block about BLOCK_BYTES and built
+in cache from one table of the block's pair products x_a * x_b, where that
+table is no wider than the block. The sum over all i<j of x_i*x_j, a global
+interaction term, is the pairwise_sum column at m = n. No expansion may
+enumerate more than MAX_COMBINED subsets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -84,22 +85,51 @@ def block_rows(width: int) -> int:
 
 def _combine_rows(x: np.ndarray, subsets, approach: str, out: np.ndarray) -> None:
     """Write one combiner's value of every row of ``x`` into ``out``, a block
-    of rows at a time; the caller has validated ``approach``."""
-    # [m, n_sub]: member i of each subset; every index is in range, so "clip"
-    # only spares take its bounds check and the buffered copy into ``out``
-    cols = np.array(subsets, dtype=np.intp).T
+    of rows at a time; the caller has validated ``approach``. Where C(n,2) <=
+    C(n,m), a block first fills a table of its pair products x_a * x_b, a < b,
+    in ``combinations`` order (at m = 2, the block itself). A product then
+    multiplies its other members into its first pair, and a pairwise sum adds
+    its pairs in order: the member-by-member fold's operations, but for the
+    fold's +0.0 start, which only turns an all -0.0 sum into +0.0, as adding
+    +0.0 to the table does. At m >= n-1 the members come from ``x``."""
+    n, m = x.shape[1], len(subsets[0])
+    cols = np.array(subsets, dtype=np.intp).T  # [m, n_sub]: member i of each subset
+    # every index is in range: "clip" only spares take's bounds check and buffered copy
+    take = partial(np.take, axis=1, mode="clip")
+    pairs = np.triu_indices(n, 1)  # (a, b) of each pair, in combinations order
+    table = 2 <= m and len(pairs[0]) <= len(subsets)
+    at = np.zeros((n, n), dtype=np.intp)
+    at[pairs] = np.arange(len(pairs[0]))
+    picks = [at[cols[a], cols[b]] for a, b in combinations(range(m), 2)]
     height = block_rows(len(subsets))
+    pair_buf = np.empty((min(height, len(x)), len(pairs[0]) if table and m > 2 else 0))
+    # at m = 2 the table is the output: gathering its second factor a quarter
+    # block at a time keeps the one temporary beside it small
+    step = max(1, height // 4) if m == 2 else height
     for start in range(0, x.shape[0], height):
-        xb = x[start : start + height]
-        ob = out[start : start + height]
+        xb, ob = x[start : start + height], out[start : start + height]
+        tb = ob if m == 2 else pair_buf[: len(xb)]
+        if table:
+            take(xb, pairs[0], out=tb)
+            for r in range(0, len(xb), step):
+                tb[r : r + step] *= take(xb[r : r + step], pairs[1])
         if approach == MULTIPLICATIVE:
-            np.take(xb, cols[0], axis=1, out=ob, mode="clip")
-            for c in cols[1:]:
-                ob *= np.take(xb, c, axis=1, mode="clip")
+            if not table:
+                take(xb, cols[0], out=ob)
+            elif m > 2:
+                take(tb, picks[0], out=ob)
+            for c in cols[2 if table else 1 :]:
+                ob *= take(xb, c)
+        elif table:
+            tb += 0.0
+            if m > 2:
+                take(tb, picks[0], out=ob)
+                for p in picks[1:]:
+                    ob += take(tb, p)
         else:
-            members = [np.take(xb, c, axis=1, mode="clip") for c in cols]
+            members = [take(xb, c) for c in cols]
             ob.fill(0.0)
-            for a, b in combinations(range(len(cols)), 2):
+            for a, b in combinations(range(m), 2):
                 ob += members[a] * members[b]
 
 

@@ -259,28 +259,32 @@ def test_transform_rows_match_single_vector_combiner():
 
 def signed_zero_rows(r, rows, n):
     """Normal draws with about a third of the cells replaced by 0.0, -0.0 or
-    +-1e-200, whose products underflow to a signed zero."""
+    +-1e-200, whose products underflow to a signed zero, or by +-1e200, whose
+    products overflow to +-inf and whose pairwise sums can be inf - inf = nan."""
     X = r.normal(size=(rows, n))
     mask = r.random(size=X.shape) < 0.35
-    X[mask] = r.choice([0.0, -0.0, 1e-200, -1e-200], size=int(mask.sum()))
+    X[mask] = r.choice([0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200], size=int(mask.sum()))
     return X
 
 
 @pytest.mark.parametrize("m,approach,n", [
-    *((m, approach, 8) for m in range(1, 6) for approach in APPROACHES
+    # every m at n = 8: the pair table for m <= 6, member gathers for m >= 7
+    *((m, approach, 8) for m in range(1, 9) for approach in APPROACHES
       if approach == MULTIPLICATIVE or m >= 2),
     *((3, approach, 30) for approach in APPROACHES),  # 4060 columns, 8 rows a block
 ])
 def test_transform_matches_reference_bytes(m, approach, n):
     # every cell goes through the reference's IEEE operations in its order,
-    # signed zeros included, across block boundaries and partial last blocks
+    # signed zeros, infinities and nans included, across block boundaries
+    # and partial last blocks
     subsets = enumerate_subsets(n, m)
     height = max(1, BLOCK_BYTES // (8 * len(subsets)))
     r = np.random.default_rng(1000 * m + n)
     row_counts = [0, 1, height - 1, height + 1, 3 * height + 2] if n < 30 else [12 * height + 5]
     for rows in row_counts:
         X = signed_zero_rows(r, rows, n)
-        got = transform_dataset(X, CombinationSpec(m=m, approach=approach)).values
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = transform_dataset(X, CombinationSpec(m=m, approach=approach)).values
         want = combine_reference(X, subsets, approach)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (rows, m, approach)
@@ -291,15 +295,20 @@ def test_transform_matches_reference_bytes(m, approach, n):
                          ids=["combined_only", "augment"])
 def test_transform_allocates_one_block(approach, flags):
     # the originals go into a slice of the one output block; the row
-    # blocks' temporaries stay small beside it
+    # blocks' temporaries stay small beside it. At m = 2 the pair table is
+    # the output itself (about 13 row blocks here, each 0.075x of it), so a
+    # whole-array table, a full-size copy or two live row-block temporaries
+    # would break the bound
     X = np.random.default_rng(5).normal(size=(1000, 30))
-    tracemalloc.start()
-    try:
-        values = transform_dataset(X, CombinationSpec(m=3, approach=approach, **flags)).values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.1 * values.nbytes
+    for m in (2, 3):
+        tracemalloc.start()
+        try:
+            spec = CombinationSpec(m=m, approach=approach, **flags)
+            values = transform_dataset(X, spec).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * values.nbytes, m
 
 
 def test_transform_rejects_non_finite():
