@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,15 +73,15 @@ _TOP_FIELDS = {
 
 @dataclass
 class RunConfig:
-    """One training or gradient-check run, fully resolved."""
+    """One training or gradient-check run, as ``parse_run_config`` resolves it."""
 
     dataset: str
     label_column: str | int
-    output_dir: str = "."
-    kind: str = KIND_TCN
-    seed: int = 0
-    combination: CombinationSpec | None = field(default_factory=CombinationSpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
+    output_dir: str
+    kind: str
+    seed: int
+    combination: CombinationSpec | None
+    train: TrainConfig
 
 
 def normalize_approach(token: str) -> str:
@@ -92,10 +92,10 @@ def normalize_approach(token: str) -> str:
     return _APPROACH_TOKENS[token]
 
 
-def parse_run_config(doc, seed: int | None = None, output_dir: str | None = None) -> RunConfig:
-    """Validate a run-config JSON document. Unknown keys are errors, never
-    warnings, and every offending key is reported in one pass. A ``seed``
-    or an ``output_dir`` overrides the document's."""
+def parse_run_config(doc) -> RunConfig:
+    """Validate a run-config JSON document, the one source of a run's
+    settings. Unknown keys are errors, never warnings, and every offending
+    key is reported in one pass."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     problems: list[str] = []
@@ -115,10 +115,10 @@ def parse_run_config(doc, seed: int | None = None, output_dir: str | None = None
             comb_doc["approach"] = normalize_approach(comb_doc["approach"])
         except ConfigError as exc:
             problems.append(str(exc))
-    seed = top.get("seed", 0) if seed is None else seed
+    seed = top.get("seed", 0)
     if not 0 <= seed < SEED_LIMIT:
         problems.append(f"'seed' must be in [0, 2**64), got {seed}")
-    output_dir = top.get("output_dir", ".") if output_dir is None else output_dir
+    output_dir = top.get("output_dir", ".")
     if not output_dir:
         problems.append("'output_dir' must name a directory, got ''")
     if problems:
@@ -135,20 +135,22 @@ def parse_run_config(doc, seed: int | None = None, output_dir: str | None = None
     )
 
 
-def load_run_config(path, seed: int | None = None, output_dir: str | None = None) -> RunConfig:
+def load_run_config(path) -> RunConfig:
     try:
         doc = json.loads(read_text(path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return parse_run_config(doc, seed, output_dir)
+    return parse_run_config(doc)
 
 
-def _build_model(kind: str, cfg: ModelConfig, input_dim: int, n_classes: int):
-    if kind == KIND_TCN:
-        return build_tcn(input_dim, n_classes, cfg)
-    return build_baseline(kind, input_dim, n_classes, cfg)
+def _prepare(rc: RunConfig):
+    """Load the run's CSV, fit its pipeline, and build its untrained model."""
+    pipeline, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
+    build_args = (prepared.n_features, prepared.n_classes, ModelConfig(seed=rc.seed))
+    model = build_tcn(*build_args) if rc.kind == KIND_TCN else build_baseline(rc.kind, *build_args)
+    return pipeline, prepared, model
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +170,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rc = load_run_config(args.config, args.seed, args.output)
+    rc = load_run_config(args.config)
 
     start = time.perf_counter()
-    pipeline, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
-    model_config = ModelConfig(seed=rc.seed)
-    model = _build_model(rc.kind, model_config, prepared.n_features, prepared.n_classes)
+    pipeline, prepared, model = _prepare(rc)
     model, history = train_loop(model, prepared, rc.train)
     train_metrics = evaluate(model, prepared)
     wall = time.perf_counter() - start
@@ -198,7 +198,8 @@ def cmd_train(args) -> int:
     }
 
     results_text = json.dumps(results, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    ckpt = Checkpoint(**vars(pipeline), model=model, config=model_config, seed=rc.seed)
+    ckpt = Checkpoint(**vars(pipeline), model=model, config=ModelConfig(seed=rc.seed),
+                      seed=rc.seed)
 
     os.makedirs(rc.output_dir, exist_ok=True)
     save_checkpoint(os.path.join(rc.output_dir, "checkpoint.json"), ckpt)
@@ -219,10 +220,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rc = load_run_config(args.config, args.seed)
-    _, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
-    model = _build_model(rc.kind, ModelConfig(seed=rc.seed), prepared.n_features,
-                         prepared.n_classes)
+    _, prepared, model = _prepare(load_run_config(args.config))
     batch, labels = find_check_batch(model, prepared.features, prepared.labels)
     overall, per_kind = grad_check_report(model, batch, labels,
                                           corruption=args.corrupt_gradient)
@@ -274,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train a model from a JSON run config")
     tr.add_argument("--config", required=True, help="run-config JSON path")
-    tr.add_argument("--output", help="override the config's output directory")
-    tr.add_argument("--seed", type=int, help="override the config's seed")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score a checkpoint on a CSV")
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     gc.add_argument("--config", required=True, help="run-config JSON path")
-    gc.add_argument("--seed", type=int, help="override the config's seed")
     gc.add_argument("--corrupt-gradient", type=float, default=0.0,
                     help="test hook: offset added to one analytic gradient entry")
     gc.set_defaults(func=cmd_gradcheck)

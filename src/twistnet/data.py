@@ -115,6 +115,8 @@ def load_csv(path, label_column) -> Dataset:
     else:
         raise SchemaError(f"label column {label_column!r} not found in header {header}")
     label_name = header.pop(label_idx)  # from here on header holds features only
+    if not header:
+        raise SchemaError(f"{path}: no feature columns besides the label column {label_name!r}")
 
     features = np.empty((len(rows), width - 1))
     labels = np.empty(len(rows), dtype=np.int64)

@@ -145,13 +145,14 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     the best epoch are restored.
     """
     cfg.validate()
-    if train_set.n_samples == 0:
-        raise ValueError("training set is empty")
     if np.unique(train_set.labels).size < 2:
         raise ValueError("training set must contain at least 2 classes")
 
     rng = Rng(cfg.seed)
     fit_rows, val_rows, _ = split_rows(train_set, (1.0 - VAL_FRACTION, VAL_FRACTION, 0.0), rng)
+    if val_rows.size == 0:
+        raise DataError(f"{train_set.n_samples} training rows leave no validation rows "
+                        f"at VAL_FRACTION {VAL_FRACTION}")
     val_set = train_set.take(val_rows)
 
     params = model.params

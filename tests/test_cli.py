@@ -82,8 +82,6 @@ def test_parse_run_config_null_combination():
 def test_parse_run_config_seed_propagates():
     rc = parse_run_config({"dataset": "d.csv", "label_column": "y", "seed": 9})
     assert rc.seed == 9 and rc.train.seed == 9
-    rc = parse_run_config({"dataset": "d.csv", "label_column": "y", "seed": 9}, seed=2)
-    assert rc.seed == 2 and rc.train.seed == 2
 
 
 def test_parse_run_config_collects_every_problem():
@@ -202,7 +200,7 @@ def test_transform_overflow_exits_2_and_writes_nothing(tmp_path, train_csv, caps
 # train
 # ---------------------------------------------------------------------------
 
-def run_train(tmp_path, train_csv, outdir, extra=None, argv_extra=()):
+def run_train(tmp_path, train_csv, outdir, extra=None):
     doc = {
         "dataset": str(train_csv),
         "label_column": "label",
@@ -212,7 +210,7 @@ def run_train(tmp_path, train_csv, outdir, extra=None, argv_extra=()):
     if extra:
         doc.update(extra)
     cfg = write_config(tmp_path, doc, name=f"{outdir}.json")
-    code = main(["train", "--config", str(cfg), *argv_extra])
+    code = main(["train", "--config", str(cfg)])
     return code, tmp_path / outdir
 
 
@@ -261,19 +259,31 @@ def test_train_deterministic_outputs(tmp_path, train_csv):
 
 
 def test_train_seed_override_changes_model(tmp_path, train_csv):
-    _, dir_a = run_train(tmp_path, train_csv, "seed0")
-    _, dir_b = run_train(tmp_path, train_csv, "seed1", argv_extra=("--seed", "1"))
-    results_b = json.loads((dir_b / "results.json").read_text())
-    assert results_b["config"]["seed"] == 1
-    ckpt_b = (dir_b / "checkpoint.json").read_text()
-    lines_b = (dir_b / "results.json").read_text().splitlines()
-    assert (dir_a / "checkpoint.json").read_text() != ckpt_b
-    # --seed 1 runs exactly what a config with "seed": 1 runs
-    code, dir_c = run_train(tmp_path, train_csv, "seed1", extra={"seed": 1})
-    assert code == 0 and (dir_c / "checkpoint.json").read_text() == ckpt_b
-    lines_c = (dir_c / "results.json").read_text().splitlines()
-    assert len(lines_c) == len(lines_b)
-    assert all(b == c or "wall_time_seconds" in b for b, c in zip(lines_b, lines_c))
+    # a config's seed replaces the default seed 0, and the model follows it
+    code_a, dir_a = run_train(tmp_path, train_csv, "seed0")
+    code_b, dir_b = run_train(tmp_path, train_csv, "seed1", extra={"seed": 1})
+    assert code_a == code_b == 0
+    assert json.loads((dir_a / "results.json").read_text())["config"]["seed"] == 0
+    assert json.loads((dir_b / "results.json").read_text())["config"]["seed"] == 1
+    ckpt_b = json.loads((dir_b / "checkpoint.json").read_text())
+    assert ckpt_b["seed"] == 1
+    assert ckpt_b["layers"] != json.loads((dir_a / "checkpoint.json").read_text())["layers"]
+
+
+# the run config is the only source of a run's seed and output directory
+@pytest.mark.parametrize("argv", [["train", "--seed", "1"], ["train", "--output", "elsewhere"],
+                                  ["gradcheck", "--seed", "1"]],
+                         ids=["train-seed", "train-output", "gradcheck-seed"])
+def test_override_flag_is_a_usage_error(tmp_path, train_csv, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"dataset": str(train_csv), "label_column": "label",
+                                  "output_dir": str(tmp_path / "out")})
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_train_without_combination(tmp_path, train_csv):
@@ -351,26 +361,19 @@ def test_train_model_section_is_an_unknown_key(tmp_path, train_csv, capsys, sect
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("extra, argv_extra", [({"output_dir": ""}, ()),
-                                               (None, ("--output", ""))],
-                         ids=["config", "flag"])
-def test_train_empty_output_dir_exits_1(tmp_path, train_csv, capsys, monkeypatch,
-                                        extra, argv_extra):
+def test_train_empty_output_dir_exits_1(tmp_path, train_csv, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("twistnet.cli.load_csv", lambda *a: pytest.fail("read the data"))
     before = set(tmp_path.rglob("*"))
-    code, _ = run_train(tmp_path, train_csv, "empty", extra=extra, argv_extra=argv_extra)
+    code, _ = run_train(tmp_path, train_csv, "empty", extra={"output_dir": ""})
     assert code == 1
     assert "'output_dir'" in capsys.readouterr().err
     assert set(tmp_path.rglob("*")) == before | {tmp_path / "empty.json"}  # just the config
 
 
-@pytest.mark.parametrize("seed, argv_extra", [(-1, ()), (2**64, ()),
-                                              (0, ("--seed", "-1")),
-                                              (0, ("--seed", str(2**64)))])
-def test_train_aliased_seed_exits_1(tmp_path, train_csv, capsys, seed, argv_extra):
-    code, outdir = run_train(tmp_path, train_csv, "badseed", extra={"seed": seed},
-                             argv_extra=argv_extra)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_train_aliased_seed_exits_1(tmp_path, train_csv, capsys, seed):
+    code, outdir = run_train(tmp_path, train_csv, "badseed", extra={"seed": seed})
     assert code == 1
     assert "'seed' must be in [0, 2**64)" in capsys.readouterr().err
     assert not outdir.exists()
@@ -624,6 +627,42 @@ def test_class_too_small_to_split_exits_2(tmp_path, train_csv, capsys):
     out, err = capsys.readouterr()
     assert out == "" and not outdir.exists()
     assert "data error" in err and "class 'neg' has 1 samples" in err
+
+
+def test_too_few_rows_for_a_validation_slice_exits_2(tmp_path, capsys):
+    # 5 rows a class: the largest-remainder split hands each class's half
+    # row of validation quota to the fit slice, so no validation row is left
+    ds = synth_interaction(10, 4, PRODUCT_SIGN, 0.1, Rng(0))
+    assert np.bincount(ds.labels).tolist() == [5, 5]
+    small_csv = tmp_path / "ten_rows.csv"
+    save_csv(ds, small_csv)
+    outdir = tmp_path / "ten_rows"
+    cfg = write_config(tmp_path, {"dataset": str(small_csv), "label_column": "label",
+                                  "output_dir": str(outdir)})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not outdir.exists()
+    assert err.splitlines() == ["twistnet: data error: 10 training rows leave no validation "
+                                "rows at VAL_FRACTION 0.1"]
+
+
+@pytest.mark.parametrize("command", ["transform", "train"])
+def test_label_only_csv_exits_2(tmp_path, capsys, command):
+    label_only = tmp_path / "label_only.csv"
+    label_only.write_text("label\npos\nneg\npos\nneg\n", encoding="utf-8")
+    out_csv, outdir = tmp_path / "t.csv", tmp_path / "out"
+    cfg = write_config(tmp_path, {"dataset": str(label_only), "label_column": "label",
+                                  "output_dir": str(outdir)})
+    argv = {"transform": ["transform", "--input", label_only, "--output", out_csv,
+                          "--label-column", "label"],
+            "train": ["train", "--config", cfg]}[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not out_csv.exists() and not outdir.exists()
+    assert err.splitlines() == [f"twistnet: data error: {label_only}: no feature columns "
+                                "besides the label column 'label'"]
 
 
 def test_eval_checkpoint_missing_keys_exit_2(tmp_path, train_csv, capsys):

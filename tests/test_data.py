@@ -123,9 +123,11 @@ def test_load_csv_ragged_row_rejected(tmp_path):
 
 
 def test_load_csv_label_column_only(tmp_path):
-    ds = load_csv(write(tmp_path, "label\nb\na\nb\n"), "label")
-    assert ds.features.shape == (3, 0) and ds.feature_names == []
-    assert ds.class_names == ["b", "a"] and ds.labels.tolist() == [0, 1, 0]
+    # a model needs at least one input, so a file of labels alone is refused
+    path = write(tmp_path, "label\nb\na\nb\n")
+    with pytest.raises(SchemaError) as exc:
+        load_csv(path, "label")
+    assert str(exc.value) == f"{path}: no feature columns besides the label column 'label'"
 
 
 def test_load_csv_schema_errors(tmp_path):

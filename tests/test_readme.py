@@ -1,4 +1,5 @@
-"""The README describes the formats the code reads and writes: the
+"""The README describes the commands and the formats the code reads and
+writes: the command-line synopsis lists each subcommand's options; the
 checkpoint.json key table has the same keys, types and nullability; the
 run-config table lists exactly the optional top-level keys and names each
 section's fields with their defaults; the
@@ -6,6 +7,7 @@ layer-entry paragraph names every stored array and the layers that store
 none; the layer contract quotes the one signature of every layer's
 ``backward``. Its Python quick start runs and prints the accuracy it claims."""
 
+import argparse
 import inspect
 import json
 import re
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from twistnet.cli import _TOP_FIELDS
+from twistnet.cli import _TOP_FIELDS, build_parser
 from twistnet.featcomb import CombinationSpec
 from twistnet.layers import LAYER_TYPES
 from twistnet.model import CHECKPOINT_FORMAT_KEYS
@@ -41,6 +43,22 @@ def table_rows(text: str) -> dict:
         key, *cells = (cell.strip() for cell in line.strip("|").split("|"))
         rows[key.strip("`")] = cells
     return rows
+
+
+def test_readme_cli_synopsis_lists_every_option():
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    listed = {}
+    for line in block.splitlines():
+        if line.startswith("twistnet "):
+            command = line.split()[1]
+            assert command not in listed, f"{command} is listed twice"
+            listed[command] = set(re.findall(r"--[\w-]+", line))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {opt for action in sub._actions for opt in action.option_strings}
+               - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+    assert listed == defined
 
 
 def test_readme_checkpoint_table_matches_format():
