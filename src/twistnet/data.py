@@ -260,7 +260,8 @@ class Pipeline:
         unknown = sorted(set(ds.class_names) - set(class_index))
         if unknown:
             raise DataError(f"labels not present at training time: {unknown}")
-        labels = [class_index[ds.class_names[v]] for v in ds.labels]
+        lookup = np.array([class_index[name] for name in ds.class_names], dtype=np.int64)
+        labels = lookup[ds.labels]
         work, _ = combine(Dataset(ds.features[:, order], labels, self.class_names,
                                   self.feature_names, label_name=self.label_column),
                           self.combination)

@@ -133,7 +133,9 @@ class Dense(Layer):
     def forward(self, x, mode=INFER, rng=None):
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"dense expects {self.input_dim} columns, got {x.shape[1]}")
-        return x @ self.weights.T + self.bias, x
+        y = x @ self.weights.T
+        y += self.bias
+        return y, x
 
     def backward(self, cache, upstream, out, input_grad):
         grad_w, grad_b = out
@@ -202,9 +204,12 @@ class BatchNorm(Layer):
             cache = ("batch", x, xhat, inv_std)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-            xhat = (x - self.running_mean) * inv_std
+            xhat = x - self.running_mean
+            xhat *= inv_std
             cache = ("running", x, xhat, inv_std)
-        return self.gamma * xhat + self.beta, cache
+        y = self.gamma * xhat
+        y += self.beta
+        return y, cache
 
     def backward(self, cache, upstream, out, input_grad):
         path, x, xhat, inv_std = cache
@@ -274,10 +279,13 @@ class ResidualBlock(Layer):
     def forward(self, x, mode=INFER, rng=None):
         if x.shape[1] != self.dim:
             raise ShapeError(f"residual block expects {self.dim} columns, got {x.shape[1]}")
-        z1 = x @ self.w1.T + self.b1
+        z1 = x @ self.w1.T
+        z1 += self.b1
         a1 = relu(z1)
-        z2 = a1 @ self.w2.T + self.b2
-        y = relu(z2) + x
+        z2 = a1 @ self.w2.T
+        z2 += self.b2
+        y = relu(z2)
+        y += x
         return y, (x, z1, a1, z2)
 
     def backward(self, cache, upstream, out, input_grad):

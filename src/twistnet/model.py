@@ -133,10 +133,13 @@ def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) 
 
 
 def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = None):
-    """Run the stack, returning class probabilities and a backward cache.
+    """Run the stack, returning class probabilities and a cache.
 
     In TRAIN mode the probabilities are None: the loss and its gradient come
-    from the cache's ``logits`` (``loss_from_cache``, ``backward``)."""
+    from the cache's ``logits`` (``loss_from_cache``, ``backward``). Layer
+    caches are kept only in TRAIN mode; in INFER mode each is dropped before
+    the next layer runs, so the cache holds only ``logits`` and only one
+    layer's arrays are alive at a time."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(
@@ -145,7 +148,9 @@ def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = Non
     layer_caches = []
     for layer in model.layers:
         x, cache = layer.forward(x, mode, rng)
-        layer_caches.append(cache)
+        if mode == L.TRAIN:
+            layer_caches.append(cache)
+        del cache
     full_cache = {"mode": mode, "layer_caches": layer_caches, "logits": x}
     if mode == L.TRAIN:
         return None, full_cache

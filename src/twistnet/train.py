@@ -127,8 +127,7 @@ def evaluate(model: M.ModelGraph, ds: Dataset) -> EvalResult:
         raise ShapeError(f"model outputs {probs.shape[1]} class scores for {c} classes")
     loss = M.loss_from_cache(cache, ds.labels)
     preds = np.argmax(probs, axis=1)
-    confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (ds.labels, preds), 1)
+    confusion = np.bincount(ds.labels * c + preds, minlength=c * c).reshape(c, c)
     accuracy = float(np.trace(confusion)) / ds.n_samples
     return EvalResult(accuracy=accuracy, mean_loss=loss, confusion=confusion)
 
@@ -138,8 +137,11 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     """Mini-batch Adam with L2 decay and patience-based early stopping.
 
     A stratified, seeded validation slice of VAL_FRACTION of the rows is
-    carved off; it is the only rows copied up front, as each batch is
-    gathered from ``train_set`` by its fit-row indices. Training stops once
+    held out by index. Nothing is copied up front: each batch is gathered
+    from ``train_set`` by its fit-row indices and freed, with its cache,
+    before the next is gathered, and the validation rows are gathered at
+    each epoch's end for that epoch's evaluation. So at most one batch or
+    one validation block sits beside ``train_set``. Training stops once
     validation loss has failed to improve by at least EARLY_STOP_MIN_DELTA
     for ``early_stop_patience`` consecutive epochs, and the parameters from
     the best epoch are restored.
@@ -153,7 +155,6 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
     if val_rows.size == 0:
         raise DataError(f"{train_set.n_samples} training rows leave no validation rows "
                         f"at VAL_FRACTION {VAL_FRACTION}")
-    val_set = train_set.take(val_rows)
 
     params = model.params
     state = AdamState(params)
@@ -179,9 +180,10 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
                 grads += l2_penalty(params, model.l2_mask)
                 adam_step(params, grads, state, cfg)
                 total_loss += data_loss * len(idx)
+                del xb, cache  # the cache holds the batch too
             train_loss = total_loss / n
 
-            val = evaluate(model, val_set)
+            val = evaluate(model, train_set.take(val_rows))
             if not np.isfinite(train_loss) or not np.isfinite(val.mean_loss):
                 raise ValueError(f"training diverged at epoch {epoch}: the loss is not finite "
                                  f"(learning_rate {cfg.learning_rate:g})")

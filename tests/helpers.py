@@ -1,12 +1,13 @@
 """Shared test utilities: a scalar reference RNG, finite-difference slopes,
 gradient buffers for a layer's backward, the combined vector of one feature
-row and a scalar reference combiner.
+row, a scalar reference combiner and a traced allocation peak.
 
 The reference generator is written as the plain sequential algorithm from the
 published splitmix64 description, deliberately sharing no code with the
 vectorized implementation under test.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +69,18 @@ def fd_wrt(arr, f, h=1e-5):
         flat[i] = orig
         gflat[i] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes that tracemalloc saw allocated
+    during the call; what existed before it is not counted."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def grad_buffers(layer):

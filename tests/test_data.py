@@ -1,6 +1,5 @@
 """CSV ingestion, normalization, stratified splitting, synthetic tasks."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from twistnet.errors import DataError, ParseError, SchemaError
 from twistnet.featcomb import PAIRWISE_SUM, CombinationSpec, block_rows
 from twistnet.ndcore import Rng
 
-from helpers import save_csv_reference
+from helpers import save_csv_reference, traced_peak
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -184,12 +183,7 @@ def test_save_csv_writes_row_by_row(tmp_path):
     # the whole text of a 2000x40 block is about 1.6 MB; no copy of it is held
     ds = synth_interaction(2000, 40, PRODUCT_SIGN, 0.1, Rng(0))
     p = tmp_path / "wide.csv"
-    tracemalloc.start()
-    try:
-        save_csv(ds, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(save_csv, ds, p)
     assert peak < p.stat().st_size / 4
     assert p.read_bytes() == save_csv_reference(ds).encode("utf-8")
 
@@ -199,12 +193,7 @@ def test_load_csv_holds_no_string_per_cell(tmp_path):
     ds = synth_interaction(2000, 12, PRODUCT_SIGN, 0.1, Rng(0))
     p = tmp_path / "rows.csv"
     save_csv(ds, p)
-    tracemalloc.start()
-    try:
-        loaded = load_csv(p, "label")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(load_csv, p, "label")
     assert peak < 3 * p.stat().st_size
     assert np.array_equal(loaded.features, ds.features)
 
@@ -231,12 +220,7 @@ def test_zscore_apply_normalises_in_place():
                  [f"f{i}" for i in range(100)])
     stats = zscore_fit(ds)
     before = ds.features.copy()
-    tracemalloc.start()
-    try:
-        out = zscore_apply(ds, stats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(zscore_apply, ds, stats)
     assert np.shares_memory(out.features, ds.features)
     assert peak < 0.05 * ds.features.nbytes
     assert out.features.tobytes() == ((before - stats.mean) / stats.std).tobytes()
@@ -334,6 +318,23 @@ def test_pipeline_apply_reproduces_fit(spec):
     assert np.array_equal(again.labels, raw.labels)
 
 
+def test_pipeline_apply_maps_labels_by_class_name():
+    # the fitted classes are in first-seen order; another file may list them
+    # in another order, or use only some of them, but never a new one
+    raw = synth_interaction(30, 4, PRODUCT_SIGN, 0.1, Rng(0))
+    pipeline, _ = Pipeline.fit(raw, None)
+    names = raw.class_names
+    flipped = replace(raw, labels=1 - raw.labels, class_names=names[::-1])
+    assert np.array_equal(pipeline.apply(flipped).labels, raw.labels)
+    only_second = Dataset(raw.features[:3], np.zeros(3, dtype=int), [names[1]],
+                          raw.feature_names)
+    out = pipeline.apply(only_second)
+    assert out.labels.dtype == np.int64 and out.labels.tolist() == [1, 1, 1]
+    unknown = replace(raw, class_names=[names[0], "other"])
+    with pytest.raises(DataError, match="labels not present at training time: \\['other'\\]"):
+        pipeline.apply(unknown)
+
+
 @pytest.mark.parametrize("spec", PIPELINE_SPECS)
 def test_pipeline_never_writes_the_callers_dataset(spec):
     raw = synth_interaction(30, 4, PRODUCT_SIGN, 0.1, Rng(0))
@@ -349,12 +350,7 @@ def test_pipeline_never_writes_the_callers_dataset(spec):
 def test_pipeline_fit_allocates_only_its_output():
     # expansion, finiteness check, fit and normalisation share the one block
     raw = synth_interaction(3000, 20, PRODUCT_SIGN, 0.1, Rng(0))
-    tracemalloc.start()
-    try:
-        _, prepared = Pipeline.fit(raw, CombinationSpec(m=3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (_, prepared), peak = traced_peak(Pipeline.fit, raw, CombinationSpec(m=3))
     assert peak <= 1.1 * prepared.features.nbytes
 
 

@@ -3,7 +3,6 @@
 The combiners are reached through transform_dataset on one-row batches."""
 
 import math
-import tracemalloc
 from dataclasses import asdict, fields
 from itertools import combinations
 
@@ -24,7 +23,7 @@ from twistnet.featcomb import (
     transform_dataset,
 )
 
-from helpers import central_diff, combine_reference, combine_row, rel_err
+from helpers import central_diff, combine_reference, combine_row, rel_err, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +300,9 @@ def test_transform_allocates_one_block(approach, flags):
     # would break the bound
     X = np.random.default_rng(5).normal(size=(1000, 30))
     for m in (2, 3):
-        tracemalloc.start()
-        try:
-            spec = CombinationSpec(m=m, approach=approach, **flags)
-            values = transform_dataset(X, spec).values
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * values.nbytes, m
+        spec = CombinationSpec(m=m, approach=approach, **flags)
+        out, peak = traced_peak(transform_dataset, X, spec)
+        assert peak < 1.1 * out.values.nbytes, m
 
 
 def test_transform_rejects_non_finite():

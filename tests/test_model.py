@@ -206,7 +206,10 @@ def test_forward_shape_check():
 def test_backward_requires_train_cache():
     model = toy_model()
     x = np.ones((4, 3))
-    _, cache = forward(model, x, INFER)
+    probs, cache = forward(model, x, INFER)
+    # an inference cache keeps no layer's cache, only the logits
+    assert cache["layer_caches"] == []
+    assert np.array_equal(probs, softmax_rows(cache["logits"]))
     with pytest.raises(StateError):
         backward(model, cache, np.zeros(4, dtype=int))
     _, cache = forward(model, x, TRAIN, Rng(0))

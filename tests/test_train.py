@@ -1,6 +1,5 @@
 """Adam, L2, the training loop, metrics, and the gradient-check harness."""
 
-import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -11,6 +10,7 @@ from twistnet.errors import CapacityError, DataError, ShapeError
 from twistnet.featcomb import CombinationSpec, transform_dataset
 from twistnet.layers import Dense, ReLULayer
 from twistnet.model import (
+    HIDDEN1,
     KIND_LOGISTIC,
     ModelConfig,
     ModelGraph,
@@ -40,6 +40,8 @@ from twistnet.train import (
     train_loop,
 )
 from twistnet.layers import TRAIN
+
+from helpers import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,35 @@ def test_evaluate_uninformative_labels_near_chance():
     assert abs(res.accuracy - 0.25) < 0.05
 
 
+def test_evaluate_confusion_counts_each_label_prediction_pair():
+    r = np.random.default_rng(4)
+    x = np.asarray(r.normal(size=(200, 3)))
+    labels = r.integers(0, 3, size=200)
+    ds = Dataset(x, labels, ["a", "b", "c"], ["f0", "f1", "f2"])
+    model = build_baseline(KIND_LOGISTIC, 3, 3, ModelConfig(seed=2))
+    res = evaluate(model, ds)
+    preds = np.argmax(x @ model.layers[0].weights.T + model.layers[0].bias, axis=1)
+    want = np.zeros((3, 3), dtype=np.int64)
+    for label, pred in zip(labels, preds):
+        want[label, pred] += 1
+    assert res.confusion.dtype == np.int64
+    assert np.array_equal(res.confusion, want)
+
+
+def test_evaluate_holds_only_a_few_activations():
+    # no layer cache outlives its layer, so beside the caller's block the
+    # pass holds a few hidden-width activations (the residual block's), not
+    # one per layer
+    n = 5000
+    x = np.random.default_rng(6).normal(size=(n, 66))
+    ds = Dataset(x, (x[:, 0] > 0).astype(np.int64), ["neg", "pos"],
+                 [f"c{i}" for i in range(66)])
+    model = build_tcn(66, 2, ModelConfig(seed=0))
+    res, peak = traced_peak(evaluate, model, ds)
+    assert peak <= 6 * n * HIDDEN1 * 8
+    assert res.confusion.sum() == n
+
+
 def test_evaluate_empty_rejected():
     ds = sign_dataset().take([])
     model = build_baseline(KIND_LOGISTIC, 1, 2, ModelConfig())
@@ -280,13 +311,21 @@ def test_train_loop_copies_only_the_validation_slice():
     ds = Dataset(x, labels, ["neg", "pos"], [f"c{i}" for i in range(x.shape[1])])
     model = build_tcn(ds.n_features, 2, ModelConfig(seed=0))
     cfg = TrainConfig(batch_size=500, max_epochs=1, seed=0)
-    tracemalloc.start()
-    try:
-        train_loop(model, ds, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(train_loop, model, ds, cfg)
     assert peak < 0.75 * x.nbytes
+
+
+def test_train_loop_holds_one_batch_or_validation_block_at_a_time():
+    # each step's batch and cache are freed before the next gather, and the
+    # validation rows (300 here, one batch's worth) are gathered only for
+    # each epoch's evaluation
+    x = np.random.default_rng(7).normal(size=(3000, 1000))
+    ds = Dataset(x, (x[:, 0] > 0).astype(np.int64), ["neg", "pos"],
+                 [f"c{i}" for i in range(1000)])
+    model = build_tcn(ds.n_features, 2, ModelConfig(seed=0))
+    cfg = TrainConfig(batch_size=300, max_epochs=2, seed=0)
+    _, peak = traced_peak(train_loop, model, ds, cfg)
+    assert peak < 3 * cfg.batch_size * x.shape[1] * 8
 
 
 def test_train_loop_losses_decrease_early():
