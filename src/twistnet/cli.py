@@ -8,7 +8,12 @@ Four subcommands tie the pipeline together:
   gradcheck   finite-difference audit of the analytic gradients
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 capacity.
-All diagnostics go to stderr; data goes to files or stdout.
+A run config is checked whole, keys, types and ranges in one pass, before
+any file is read; the config errors found only with the data are m above
+the feature count, a cnn1d narrower than its kernel, and divergence.
+ConfigError, DataError, ShapeError, CapacityError, MemoryError and OSError
+map to an exit code; any other exception is a bug and propagates. All
+diagnostics go to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations
@@ -53,13 +58,6 @@ from .train import (
 
 GRADCHECK_THRESHOLD = 1e-4
 
-_APPROACH_TOKENS = {
-    "mult": MULTIPLICATIVE,
-    "multiplicative": MULTIPLICATIVE,
-    "pairwise": PAIRWISE_SUM,
-    "pairwise_sum": PAIRWISE_SUM,
-}
-
 _TOP_FIELDS = {
     "dataset": str,
     "label_column": (str, int),
@@ -84,18 +82,10 @@ class RunConfig:
     train: TrainConfig
 
 
-def normalize_approach(token: str) -> str:
-    if token not in _APPROACH_TOKENS:
-        raise ConfigError(
-            f"unknown approach {token!r}; expected one of {sorted(_APPROACH_TOKENS)}"
-        )
-    return _APPROACH_TOKENS[token]
-
-
 def parse_run_config(doc) -> RunConfig:
     """Validate a run-config JSON document, the one source of a run's
-    settings. Unknown keys are errors, never warnings, and every offending
-    key is reported in one pass."""
+    settings. Unknown keys are errors, never warnings, and every key, type
+    and range problem is reported in one pass, before any file is read."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     problems: list[str] = []
@@ -110,37 +100,32 @@ def parse_run_config(doc) -> RunConfig:
     kind = top.get("kind", KIND_TCN)
     if kind not in MODEL_KINDS:
         problems.append(f"'kind' must be one of {list(MODEL_KINDS)}, got {kind!r}")
-    if "approach" in comb_doc:
-        try:
-            comb_doc["approach"] = normalize_approach(comb_doc["approach"])
-        except ConfigError as exc:
-            problems.append(str(exc))
     seed = top.get("seed", 0)
     if not 0 <= seed < SEED_LIMIT:
         problems.append(f"'seed' must be in [0, 2**64), got {seed}")
     output_dir = top.get("output_dir", ".")
     if not output_dir:
         problems.append("'output_dir' must name a directory, got ''")
+    problems += [f"'{key}' must not hold a NUL character"  # no file system path can
+                 for key in ("dataset", "output_dir") if "\0" in top.get(key, "")]
+    train = TrainConfig(seed=seed, **train_doc)
+    combination = None if top.get("combination", {}) is None else CombinationSpec(**comb_doc)
+    problems += [f"train: {p}" for p in train.problems()]
+    problems += [f"combination: {p}" for p in combination.problems()] if combination else []
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
-
-    return RunConfig(
-        dataset=top["dataset"],
-        label_column=top["label_column"],
-        output_dir=output_dir,
-        kind=kind,
-        seed=seed,
-        combination=None if top.get("combination", {}) is None else CombinationSpec(**comb_doc),
-        train=TrainConfig(seed=seed, **train_doc),
-    )
+    return RunConfig(top["dataset"], top["label_column"], output_dir, kind, seed,
+                     combination, train)
 
 
 def load_run_config(path) -> RunConfig:
     try:
-        doc = json.loads(read_text(path, ConfigError))
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer past int()'s digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return parse_run_config(doc)
 
@@ -158,13 +143,10 @@ def _prepare(rc: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_transform(args) -> int:
-    ds = load_csv(args.input, args.label_column)
-    spec = CombinationSpec(
-        m=args.m,
-        approach=normalize_approach(args.approach),
-        augment_original=args.augment_original,
-    )
-    out, _ = combine(ds, spec)
+    approach = {"mult": MULTIPLICATIVE, "pairwise": PAIRWISE_SUM}[args.approach]
+    spec = CombinationSpec(m=args.m, approach=approach, augment_original=args.augment_original)
+    spec.validate()
+    out, _ = combine(load_csv(args.input, args.label_column), spec)
     save_csv(out, args.output)
     return 0
 
@@ -307,9 +289,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"twistnet: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"twistnet: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError
+from .errors import ConfigError, DataError, ParseError, SchemaError
 from .featcomb import (
     CombinationSpec,
     block_rows,
@@ -108,7 +108,7 @@ def load_csv(path, label_column) -> Dataset:
 
     if isinstance(label_column, str) and label_column in header:
         label_idx = header.index(label_column)
-    elif isinstance(label_column, int) or label_column.lstrip("-").isdigit():
+    elif isinstance(label_column, int) or label_column.removeprefix("-").isdecimal():
         label_idx = int(label_column)
         if not 0 <= label_idx < width:
             raise SchemaError(f"label column index {label_idx} out of range for {width} columns")
@@ -276,7 +276,7 @@ class Pipeline:
             try:
                 spec.validate()
                 made = enumerate_subsets(len(names), spec.m)
-            except ValueError as exc:
+            except ConfigError as exc:
                 raise DataError(f"'combination': {exc}") from None
             names = combined_feature_names(made, spec, names)
         if not len(self.norm_mean) == len(self.norm_std) == len(names):

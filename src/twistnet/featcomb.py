@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
+from .errors import CapacityError, ConfigError, ShapeError
 
 MULTIPLICATIVE = "multiplicative"
 PAIRWISE_SUM = "pairwise_sum"
@@ -43,13 +43,21 @@ class CombinationSpec:
     approach: str = MULTIPLICATIVE
     augment_original: bool = False
 
+    def problems(self) -> list[str]:
+        """One message per broken range rule; the rules that need the
+        feature count are ``enumerate_subsets``'."""
+        rules = (
+            (self.m >= 1, f"subset size m must be >= 1, got {self.m}"),
+            (self.approach in APPROACHES,
+             f"unknown approach {self.approach!r}, expected one of {APPROACHES}"),
+            (self.approach != PAIRWISE_SUM or self.m >= 2,
+             "pairwise_sum needs m >= 2: a 1-subset has no pairs"),
+        )
+        return [message for ok, message in rules if not ok]
+
     def validate(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"subset size m must be >= 1, got {self.m}")
-        if self.approach not in APPROACHES:
-            raise ValueError(f"unknown approach {self.approach!r}, expected one of {APPROACHES}")
-        if self.approach == PAIRWISE_SUM and self.m < 2:
-            raise ValueError("pairwise_sum needs m >= 2: a 1-subset has no pairs")
+        if problems := self.problems():
+            raise ConfigError("; ".join(problems))
 
 
 @dataclass
@@ -61,12 +69,10 @@ class CombinedFeatures:
 
 
 def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
-    """All m-subsets of range(n) in lexicographic order; CapacityError past
-    MAX_COMBINED of them."""
-    if m < 1:
-        raise ValueError(f"subset size m must be >= 1, got {m}")
-    if m > n:
-        raise ValueError(f"m exceeds feature count: m={m}, n={n}")
+    """All m-subsets of range(n) in lexicographic order; ConfigError unless
+    1 <= m <= n, CapacityError past MAX_COMBINED of them."""
+    if not 1 <= m <= n:
+        raise ConfigError(f"subset size m must be in [1, n]: m={m}, n={n}")
     n_comb = math.comb(n, m)
     if n_comb > MAX_COMBINED:
         raise CapacityError(f"C({n},{m}) = {n_comb} subsets exceeds cap {MAX_COMBINED}")

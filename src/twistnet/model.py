@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import layers as L
-from .errors import DataError, SchemaError, ShapeError, StateError, check_exact, schema_of
+from .errors import (
+    ConfigError, DataError, SchemaError, ShapeError, StateError, check_exact, schema_of,
+)
 from .data import Pipeline, read_text
 from .featcomb import CombinationSpec
 from .ndcore import RNG_ALGORITHM, SEED_LIMIT, Rng
@@ -122,7 +124,7 @@ def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) 
     elif kind == KIND_CNN1D:
         width = 3
         if input_dim < width:
-            raise ValueError(f"cnn1d needs at least {width} input features, got {input_dim}")
+            raise ConfigError(f"cnn1d needs at least {width} input features, got {input_dim}")
         conv = L.Conv1D.init(8, width, rng)
         flat = conv.n_kernels * conv.output_length(input_dim)
         stack = [conv, L.ReLULayer(), L.Dense.init(flat, HIDDEN2, rng), L.ReLULayer(),
@@ -220,9 +222,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a checkpoint; SchemaError naming the problem if a key at any
     level is unknown, missing or of the wrong type, or if keys disagree."""
+    text = read_text(path)
     try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer past int()'s digit limit
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from None
     check_exact(doc, CHECKPOINT_FORMAT_KEYS, f"checkpoint {path}")
     if doc["kind"] not in MODEL_KINDS:

@@ -3,6 +3,7 @@ early stopping, metrics, and an exhaustive finite-difference gradient check."""
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -13,7 +14,7 @@ from . import model as M
 # stratified_split is unused here; perfbench's binding-site test asserts that
 # it is bound in this module (ROADMAP item 1 cuts perfbench loose from that)
 from .data import Dataset, split_rows, stratified_split
-from .errors import CapacityError, DataError, ShapeError
+from .errors import CapacityError, ConfigError, DataError, ShapeError
 from .ndcore import Rng
 
 # Adam's moment decays and denominator floor (Kingma & Ba's defaults), the
@@ -38,15 +39,22 @@ class TrainConfig:
     early_stop_patience: int = 20
     seed: int = 0
 
+    def problems(self) -> list[str]:
+        """One message per broken range rule."""
+        rules = (
+            # a Python float bound: only that compares exactly with an int past
+            # float range (10**400 < np.inf holds; vs np.finfo's max, it overflows)
+            (0 < self.learning_rate <= sys.float_info.max,
+             f"learning_rate must be finite and > 0, got {self.learning_rate}"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.max_epochs >= 1, "max_epochs must be >= 1"),
+            (self.early_stop_patience >= 1, "early_stop_patience must be >= 1"),
+        )
+        return [message for ok, message in rules if not ok]
+
     def validate(self) -> None:
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        if problems := self.problems():
+            raise ConfigError("; ".join(problems))
 
 
 class AdamState:
@@ -185,8 +193,8 @@ def train_loop(model: M.ModelGraph, train_set: Dataset,
 
             val = evaluate(model, train_set.take(val_rows))
             if not np.isfinite(train_loss) or not np.isfinite(val.mean_loss):
-                raise ValueError(f"training diverged at epoch {epoch}: the loss is not finite "
-                                 f"(learning_rate {cfg.learning_rate:g})")
+                raise ConfigError(f"training diverged at epoch {epoch}: the loss is not finite "
+                                  f"(learning_rate {cfg.learning_rate:g})")
             history.epochs.append(EpochRecord(epoch, train_loss, val.mean_loss, val.accuracy))
 
             if val.mean_loss < best_val - EARLY_STOP_MIN_DELTA:

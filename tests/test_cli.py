@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from twistnet.cli import main, normalize_approach, parse_run_config
+from twistnet.cli import main, parse_run_config
 from twistnet.data import (
     Dataset,
     Pipeline,
@@ -17,12 +17,7 @@ from twistnet.data import (
     synth_interaction,
 )
 from twistnet.errors import ConfigError
-from twistnet.featcomb import (
-    MULTIPLICATIVE,
-    PAIRWISE_SUM,
-    CombinationSpec,
-    transform_dataset,
-)
+from twistnet.featcomb import PAIRWISE_SUM, CombinationSpec, transform_dataset
 from twistnet.data import PRODUCT_SIGN
 from twistnet.layers import Dropout
 from twistnet.model import HIDDEN1, HIDDEN2
@@ -47,7 +42,8 @@ def write_config(tmp_path, doc, name="run.json"):
 RUN_VARIANTS = {
     "default": {},
     "raw": {"combination": None},
-    "pairwise_m3": {"combination": {"m": 3, "approach": "pairwise", "augment_original": True}},
+    "pairwise_m3": {"combination": {"m": 3, "approach": "pairwise_sum",
+                                    "augment_original": True}},
     "mlp": {"kind": "mlp"},
     "cnn1d": {"kind": "cnn1d"},
     "logistic": {"kind": "logistic"},
@@ -57,15 +53,6 @@ RUN_VARIANTS = {
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
-
-def test_normalize_approach_tokens():
-    assert normalize_approach("mult") == MULTIPLICATIVE
-    assert normalize_approach("multiplicative") == MULTIPLICATIVE
-    assert normalize_approach("pairwise") == PAIRWISE_SUM
-    assert normalize_approach("pairwise_sum") == PAIRWISE_SUM
-    with pytest.raises(ConfigError):
-        normalize_approach("cartesian")
-
 
 def test_parse_run_config_defaults():
     rc = parse_run_config({"dataset": "d.csv", "label_column": "label"})
@@ -91,7 +78,7 @@ def test_parse_run_config_collects_every_problem():
         "kind": "svm",
         "seed": -1,
         "model": {"hiden1": 5},
-        "train": {"learning_rat": 0.01, "batch_size": "ten"},
+        "train": {"learning_rat": 0.01, "early_stop_patience": "ten", "batch_size": 0},
         "combination": {"approach": "cartesian"},
     }
     with pytest.raises(ConfigError) as exc:
@@ -99,7 +86,8 @@ def test_parse_run_config_collects_every_problem():
     msg = str(exc.value)
     assert "unknown key 'model'" in msg
     assert "learning_rat" in msg and "did you mean 'learning_rate'" in msg
-    assert "batch_size" in msg and "int" in msg
+    assert "train: 'early_stop_patience' must be int, got str" in msg
+    assert "train: batch_size must be >= 1" in msg
     assert "svm" in msg
     assert "'seed' must be in [0, 2**64), got -1" in msg
     assert "unknown approach 'cartesian'" in msg
@@ -409,6 +397,88 @@ def test_train_missing_dataset_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"dataset": str(tmp_path / "ghost.csv"),
                                   "label_column": "label"}, name="ghost.json")
     assert main(["train", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_whole_config_is_checked_before_any_file_is_read(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {
+        "dataset": str(tmp_path / "ghost.csv"), "label_column": "label",
+        "output_dir": str(tmp_path / "out"), "colour": "red",
+        "train": {"batch_size": 0, "max_epochs": 0}, "combination": {"m": 0},
+    })
+    assert main([command, "--config", str(cfg)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("twistnet: config error: invalid config: ")
+    for problem in ("unknown key 'colour'", "train: batch_size must be >= 1",
+                    "train: max_epochs must be >= 1", "combination: subset size m must be >= 1"):
+        assert problem in line
+    assert not (tmp_path / "out").exists()
+
+
+# refusals of the combination or the training recipe, each a config error;
+# the last three can only be found once the CSV's 4 features are known
+CONFIG_REFUSALS = {
+    "transform_m0": ["--m", "0"],
+    "transform_m_past_n": ["--m", "9"],
+    "transform_pairwise_m1": ["--approach", "pairwise", "--m", "1"],
+    "m0": {"combination": {"m": 0}},
+    "pairwise_m1": {"combination": {"m": 1, "approach": "pairwise_sum"}},
+    "short_approach": {"combination": {"approach": "mult"}},
+    "m_past_n": {"combination": {"m": 9}},
+    "cnn1d_too_narrow": {"kind": "cnn1d", "combination": {"m": 4}},
+    "diverged": {"train": {"max_epochs": 3, "learning_rate": 1e300}},
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_REFUSALS))
+def test_config_refusal_exits_1(tmp_path, train_csv, capsys, case):
+    refusal = CONFIG_REFUSALS[case]
+    if isinstance(refusal, list):
+        code = main(["transform", "--input", str(train_csv), "--output",
+                     str(tmp_path / "out"), "--label-column", "label", *refusal])
+    else:
+        code, _ = run_train(tmp_path, train_csv, "out", extra=refusal)
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("twistnet: config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_learning_rate_past_float_range_exits_1(tmp_path, train_csv, capsys, command):
+    cfg = write_config(tmp_path, {"dataset": str(train_csv), "label_column": "label",
+                                  "output_dir": str(tmp_path / "out"),
+                                  "train": {"learning_rate": 10**400}})
+    assert main([command, "--config", str(cfg)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("twistnet: config error: invalid config: "
+                           "train: learning_rate must be finite and > 0, got 1000")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["dataset", "output_dir"])
+def test_path_with_a_nul_exits_1(tmp_path, train_csv, capsys, key):
+    doc = {"dataset": str(train_csv), "label_column": "label", "output_dir": str(tmp_path)}
+    doc[key] += "\0x"
+    assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert f"'{key}' must not hold a NUL character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [("train", 1), ("eval", 2)])
+def test_integer_past_the_digit_limit_is_not_valid_json(tmp_path, train_csv, capsys,
+                                                        command, code):
+    huge = "1" + "0" * 5000  # json.loads refuses it with a plain ValueError
+    if command == "eval":
+        path, _ = trained(tmp_path, train_csv)
+        path.write_text(path.read_text().replace('"seed": 0', f'"seed": {huge}'))
+        argv = ["eval", "--checkpoint", str(path), "--input", str(train_csv)]
+    else:
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"dataset": "d.csv", "label_column": "label", "seed": {huge}}}')
+        argv = ["train", "--config", str(path)]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert f"{path} is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["transform", "train"])
@@ -851,6 +921,27 @@ def test_label_column_matches_a_header_name_first(tmp_path, train_csv, capsys):
     assert (report["accuracy"], report["mean_loss"]) == (fm["train_accuracy"], fm["train_loss"])
 
 
+@pytest.mark.parametrize("source", ["transform", "config", "checkpoint"])
+@pytest.mark.parametrize("label", ["--3", "\u00b3", "-\u00b3"])
+def test_label_column_that_int_cannot_read_is_not_found(tmp_path, train_csv, capsys,
+                                                        source, label):
+    if source == "transform":
+        code = main(["transform", "--input", str(train_csv), "--output",
+                     str(tmp_path / "t.csv"), f"--label-column={label}"])
+    elif source == "config":
+        code, _ = run_train(tmp_path, train_csv, "out", extra={"label_column": label})
+    else:
+        ckpt, _ = trained(tmp_path, train_csv)
+        doc = json.loads(ckpt.read_text())
+        doc["label_column"] = label
+        ckpt.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--input", str(train_csv)])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"twistnet: data error: label column {label!r} not found in header")
+
+
 def generated_csv(path, kind, seed):
     """A 40-row, 4-feature CSV: ordinary, or with three cells of 1e150-1e300
     in magnitude, or with three cells of 1e-300, or with one constant column."""
@@ -998,6 +1089,16 @@ def test_usage_errors_exit_1(capsys):
     assert main(["transform"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_a_plain_value_error_is_not_dressed_as_a_refusal(tmp_path, train_csv, monkeypatch):
+    def broken(*args):
+        raise ValueError("a bug, not a refusal")
+
+    monkeypatch.setattr("twistnet.cli.combine", broken)
+    with pytest.raises(ValueError, match="a bug, not a refusal"):
+        main(["transform", "--input", str(train_csv), "--output", str(tmp_path / "t.csv"),
+              "--label-column", "label"])
 
 
 def test_help_exits_zero(capsys):

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from twistnet.errors import CapacityError, ShapeError
+from twistnet.errors import CapacityError, ConfigError, ShapeError
 from twistnet.featcomb import (
     APPROACHES,
     BLOCK_BYTES,
@@ -205,6 +205,15 @@ def test_spec_defaults_and_roundtrip():
     assert not spec.augment_original
     assert [f.name for f in fields(CombinationSpec)] == ["m", "approach", "augment_original"]
     assert CombinationSpec(**asdict(spec)) == spec
+
+
+def test_spec_problems_name_each_broken_rule():
+    assert CombinationSpec(m=0, approach=PAIRWISE_SUM).problems() == [
+        "subset size m must be >= 1, got 0", "pairwise_sum needs m >= 2: a 1-subset has no pairs"]
+    with pytest.raises(ConfigError, match="unknown approach 'mult'"):
+        CombinationSpec(approach="mult").validate()
+    with pytest.raises(ConfigError, match=r"m must be in \[1, n\]: m=5, n=4"):
+        enumerate_subsets(4, 5)
 
 
 def test_spec_validate_errors():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twistnet.data import Dataset, PRODUCT_SIGN, stratified_split, synth_interaction
-from twistnet.errors import CapacityError, DataError, ShapeError
+from twistnet.errors import CapacityError, ConfigError, DataError, ShapeError
 from twistnet.featcomb import CombinationSpec, transform_dataset
 from twistnet.layers import Dense, ReLULayer
 from twistnet.model import (
@@ -71,6 +71,15 @@ def test_train_config_validation():
     ):
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def test_train_config_problems_name_each_broken_rule():
+    cfg = TrainConfig(learning_rate=10**400, batch_size=0, early_stop_patience=0)
+    assert [p.split(" must")[0] for p in cfg.problems()] == [
+        "learning_rate", "batch_size", "early_stop_patience"]
+    with pytest.raises(ConfigError, match="; batch_size must be >= 1; early_stop_patience"):
+        cfg.validate()
+    assert TrainConfig(learning_rate=1).problems() == []
 
 
 def test_train_config_to_dict_round_trip():
