@@ -43,7 +43,6 @@ from .model import (
     Checkpoint,
     ModelConfig,
     build_baseline,
-    build_tcn,
     load_checkpoint,
     save_checkpoint,
 )
@@ -133,8 +132,8 @@ def load_run_config(path) -> RunConfig:
 def _prepare(rc: RunConfig):
     """Load the run's CSV, fit its pipeline, and build its untrained model."""
     pipeline, prepared = Pipeline.fit(load_csv(rc.dataset, rc.label_column), rc.combination)
-    build_args = (prepared.n_features, prepared.n_classes, ModelConfig(seed=rc.seed))
-    model = build_tcn(*build_args) if rc.kind == KIND_TCN else build_baseline(rc.kind, *build_args)
+    model = build_baseline(rc.kind, prepared.n_features, prepared.n_classes,
+                           ModelConfig(seed=rc.seed))
     return pipeline, prepared, model
 
 
@@ -146,8 +145,7 @@ def cmd_transform(args) -> int:
     approach = {"mult": MULTIPLICATIVE, "pairwise": PAIRWISE_SUM}[args.approach]
     spec = CombinationSpec(m=args.m, approach=approach, augment_original=args.augment_original)
     spec.validate()
-    out, _ = combine(load_csv(args.input, args.label_column), spec)
-    save_csv(out, args.output)
+    save_csv(combine(load_csv(args.input, args.label_column), spec), args.output)
     return 0
 
 
@@ -206,10 +204,8 @@ def cmd_gradcheck(args) -> int:
     batch, labels = find_check_batch(model, prepared.features, prepared.labels)
     overall, per_kind = grad_check_report(model, batch, labels,
                                           corruption=args.corrupt_gradient)
-    for kind in dict.fromkeys(layer.kind for layer in model.layers):
-        err = per_kind.get(kind)
-        line = f"{kind}: no parameters" if err is None else f"{kind}: {err:.3e}"
-        print(line)
+    for kind, err in per_kind.items():
+        print(f"{kind}: no parameters" if err is None else f"{kind}: {err:.3e}")
     print(f"overall: {overall:.3e}")
     if overall < GRADCHECK_THRESHOLD:
         print(f"gradient check passed (threshold {GRADCHECK_THRESHOLD:.1e})")

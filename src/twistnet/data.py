@@ -192,12 +192,12 @@ def zscore_apply(ds: Dataset, stats: NormStats) -> Dataset:
 
 def combine(ds: Dataset, spec: CombinationSpec | None):
     """Expand ``ds`` over every m-subset of its features and name the new
-    columns. Returns (combined dataset, subsets); without a spec, ``ds``
-    passes through unchanged with subsets None. DataError naming the first
-    row and column whose combined value is not finite; the check runs one
-    row block at a time, so it never builds a mask of the whole block."""
+    columns. Returns the combined dataset; without a spec, ``ds`` passes
+    through unchanged. DataError naming the first row and column whose
+    combined value is not finite; the check runs one row block at a time, so
+    it never builds a mask of the whole block."""
     if spec is None:
-        return ds, None
+        return ds
     with np.errstate(over="ignore", invalid="ignore"):  # checked and named below
         combined = transform_dataset(ds.features, spec)
     names = combined_feature_names(combined.subsets, spec, ds.feature_names)
@@ -209,15 +209,15 @@ def combine(ds: Dataset, spec: CombinationSpec | None):
             r, c = np.argwhere(~np.isfinite(block))[0]
             raise DataError(f"combined column {names[c]!r} overflows at data row "
                             f"{start + r + 1}")
-    return replace(ds, features=values, feature_names=names), combined.subsets
+    return replace(ds, features=values, feature_names=names)
 
 
 @dataclass
 class Pipeline:
     """The steps from a raw CSV to model input, as fitted on a training file:
-    its feature and class order, its label column, the feature combination
-    with its subsets (None when not recorded), and the z-score stats of the
-    combined columns."""
+    its feature and class order, its label column, the feature combination,
+    ``subsets`` (always None: neither a fit nor a load records them), and the
+    z-score stats of the combined columns."""
 
     feature_names: list[str]
     class_names: list[str]
@@ -236,13 +236,13 @@ class Pipeline:
         if raw.n_classes < 2:
             raise DataError(f"label column {raw.label_name!r} holds {raw.n_classes} class, "
                             "need at least 2")
-        work, subsets = combine(raw, spec)
+        work = combine(raw, spec)
         if work is raw:
             work = replace(raw, features=raw.features.copy())
         with np.errstate(over="ignore", invalid="ignore"):  # check() names the column
             stats = zscore_fit(work)
         pipeline = Pipeline(raw.feature_names, raw.class_names, raw.label_name, spec,
-                            subsets, stats.mean, stats.std)
+                            None, stats.mean, stats.std)
         pipeline.check()
         return pipeline, zscore_apply(work, stats)
 
@@ -262,9 +262,9 @@ class Pipeline:
             raise DataError(f"labels not present at training time: {unknown}")
         lookup = np.array([class_index[name] for name in ds.class_names], dtype=np.int64)
         labels = lookup[ds.labels]
-        work, _ = combine(Dataset(ds.features[:, order], labels, self.class_names,
-                                  self.feature_names, label_name=self.label_column),
-                          self.combination)
+        work = combine(Dataset(ds.features[:, order], labels, self.class_names,
+                               self.feature_names, label_name=self.label_column),
+                       self.combination)
         return zscore_apply(work, NormStats(self.norm_mean, self.norm_std))
 
     def check(self) -> None:

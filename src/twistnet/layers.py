@@ -91,6 +91,11 @@ class Layer:
             "values": [a.tolist() for a in stored],
         }
 
+    def rectifier_inputs(self, cache) -> tuple:
+        """The arrays of a train-mode ``cache`` that a rectifier in this layer
+        masks by; none for a layer without one."""
+        return ()
+
     @classmethod
     def from_entry(cls, entry):
         """Rebuild a layer; SchemaError if the entry does not match the declaration."""
@@ -155,6 +160,9 @@ class ReLULayer(Layer):
 
     def backward(self, cache, upstream, out, input_grad):
         return upstream * (cache > 0) if input_grad else None
+
+    def rectifier_inputs(self, cache) -> tuple:
+        return (cache,)
 
 
 class BatchNorm(Layer):
@@ -300,6 +308,10 @@ class ResidualBlock(Layer):
         dz1.sum(axis=0, out=grad_b1)
         # the skip path passes upstream through untouched
         return dz1 @ self.w1 + upstream if input_grad else None
+
+    def rectifier_inputs(self, cache) -> tuple:
+        _, z1, _, z2 = cache
+        return z1, z2
 
 
 class Conv1D(Layer):

@@ -89,38 +89,22 @@ class ModelGraph:
         return self.params.size
 
 
-def _reference_stack(input_dim: int, n_classes: int, rng: Rng, residual: bool) -> list:
-    """The TCN's layers, weights drawn in stack order; the mlp baseline is
-    the same stack without its residual block."""
-    if input_dim < 1:
-        raise ValueError("input dimension must be >= 1")
-    stack = [L.Dense.init(input_dim, HIDDEN1, rng), L.ReLULayer()]
-    if residual:
-        stack.append(L.ResidualBlock.init(HIDDEN1, rng))
-    return stack + [L.BatchNorm.init(HIDDEN1), L.ReLULayer(), L.Dropout(),
-                    L.Dense.init(HIDDEN1, HIDDEN2, rng), L.ReLULayer(),
-                    L.Dense.init(HIDDEN2, n_classes, rng)]
-
-
-def build_tcn(input_dim_after_combination: int, n_classes: int, cfg: ModelConfig) -> ModelGraph:
-    """Assemble the reference stack, all weights drawn from ``Rng(cfg.seed)``."""
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
-    stack = _reference_stack(input_dim_after_combination, n_classes, Rng(cfg.seed), residual=True)
-    return ModelGraph(KIND_TCN, input_dim_after_combination, n_classes, stack)
-
-
 def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) -> ModelGraph:
-    """Comparison models: plain logistic, the reference stack without its
-    residual block or combination, and a small 1-D conv net; all weights
-    drawn from ``Rng(cfg.seed)``."""
+    """Build any of ``MODEL_KINDS``, all weights drawn from ``Rng(cfg.seed)``
+    in stack order: the TCN's reference stack, the mlp (that stack without
+    its residual block), plain logistic, and a small 1-D conv net."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     rng = Rng(cfg.seed)
-    if kind == KIND_LOGISTIC:
+    if kind in (KIND_TCN, KIND_MLP):
+        stack = [L.Dense.init(input_dim, HIDDEN1, rng), L.ReLULayer()]
+        if kind == KIND_TCN:
+            stack.append(L.ResidualBlock.init(HIDDEN1, rng))
+        stack += [L.BatchNorm.init(HIDDEN1), L.ReLULayer(), L.Dropout(),
+                  L.Dense.init(HIDDEN1, HIDDEN2, rng), L.ReLULayer(),
+                  L.Dense.init(HIDDEN2, n_classes, rng)]
+    elif kind == KIND_LOGISTIC:
         stack = [L.Dense.init(input_dim, n_classes, rng)]
-    elif kind == KIND_MLP:
-        stack = _reference_stack(input_dim, n_classes, rng, residual=False)
     elif kind == KIND_CNN1D:
         width = 3
         if input_dim < width:
@@ -130,8 +114,13 @@ def build_baseline(kind: str, input_dim: int, n_classes: int, cfg: ModelConfig) 
         stack = [conv, L.ReLULayer(), L.Dense.init(flat, HIDDEN2, rng), L.ReLULayer(),
                  L.Dense.init(HIDDEN2, n_classes, rng)]
     else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
+        raise ValueError(f"unknown model kind {kind!r}")
     return ModelGraph(kind, input_dim, n_classes, stack)
+
+
+def build_tcn(input_dim_after_combination: int, n_classes: int, cfg: ModelConfig) -> ModelGraph:
+    """The TCN's reference stack: ``build_baseline(KIND_TCN, ...)``."""
+    return build_baseline(KIND_TCN, input_dim_after_combination, n_classes, cfg)
 
 
 def forward(model: ModelGraph, batch, mode: str = L.INFER, rng: Rng | None = None):

@@ -234,7 +234,8 @@ def _pinned_running_stats(model: M.ModelGraph):
 
 
 def kink_distance(model: M.ModelGraph, cache) -> float:
-    """Smallest |pre-activation| over every rectifier in a forward cache.
+    """Smallest |rectifier input| in a train-mode forward cache, over what
+    each layer's ``rectifier_inputs`` reports.
 
     Central differences are only trustworthy when this clears the step size:
     a ReLU whose input sits at (or within h of) zero makes the two-sided
@@ -242,12 +243,7 @@ def kink_distance(model: M.ModelGraph, cache) -> float:
     """
     dist = np.inf
     for layer, lc in zip(model.layers, cache["layer_caches"]):
-        pre = []
-        if layer.kind == "relu":
-            pre.append(lc)
-        elif layer.kind == "residual":
-            pre.extend((lc[1], lc[3]))
-        for z in pre:
+        for z in layer.rectifier_inputs(lc):
             if z.size:
                 dist = min(dist, float(np.min(np.abs(z))))
     return dist
@@ -275,15 +271,17 @@ def find_check_batch(model: M.ModelGraph, features, labels):
 
 def grad_check_report(model: M.ModelGraph, batch, labels, corruption: float = 0.0):
     """Central-difference check of every parameter against the analytic
-    gradient; returns (max_relative_error, per-layer-kind maxima).
+    gradient; returns (max_relative_error, per-layer-kind maxima), the kinds
+    in the order they first appear in the stack, None for one without
+    parameters.
 
     Every pass runs in train mode without an Rng, so dropout is the identity
     and batch norm runs on the fixed batch, and both loss evaluations see the
     same deterministic path. Relative error is |a-n| / max(|a|, |n|, 1e-8),
-    or 0 when |a-n| is within 4 ulps of the larger loss over 2h: an
-    exactly-zero gradient (a bias that a following batch norm cancels)
-    leaves only rounding of the loss in n, which the 1e-8 floor would
-    inflate to about 1e-4.
+    inf when |a-n| is not finite, or 0 when it is within 4 ulps of the
+    larger loss over 2h: an exactly-zero gradient (a bias that a following
+    batch norm cancels) leaves only rounding of the loss in n, which the
+    1e-8 floor would inflate to about 1e-4.
 
     The difference error is U-shaped in the step size (truncation grows with
     h, cancellation noise with 1/h), and no single h covers both large and
@@ -321,7 +319,9 @@ def grad_check_report(model: M.ModelGraph, batch, labels, corruption: float = 0.
                 params[j] = orig
                 numeric = (up - down) / (2.0 * step)
                 diff = abs(analytic[j] - numeric)
-                if diff <= 4.0 * np.spacing(max(abs(up), abs(down))) / (2.0 * step):
+                if not np.isfinite(diff):  # a non-finite entry fails, with no inf/inf
+                    rel = np.inf
+                elif diff <= 4.0 * np.spacing(max(abs(up), abs(down))) / (2.0 * step):
                     rel = 0.0
                 else:
                     rel = diff / max(abs(analytic[j]), abs(numeric), 1e-8)

@@ -1048,6 +1048,18 @@ def test_gradcheck_detects_corruption(tmp_path, train_csv, capsys):
     assert "FAILED" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
+def test_gradcheck_non_finite_corruption_fails_without_a_warning(tmp_path, train_csv, capsys,
+                                                                 offset):
+    # a non-finite |a - n| scores inf without an inf/inf quotient
+    cfg = write_config(tmp_path, {"dataset": str(train_csv), "label_column": "label"})
+    assert main(["gradcheck", "--config", str(cfg), f"--corrupt-gradient={offset}"]) == 1
+    captured = capsys.readouterr()
+    assert "overall: inf" in captured.out.splitlines()
+    assert captured.err.splitlines() == ["gradient check FAILED (threshold 1.0e-04)"]
+
+
 def test_gradcheck_passes_where_a_bias_gradient_is_zero(tmp_path, capsys):
     # the quick-start data at seed 19: the batch norm after the residual block
     # cancels its output bias b2, so that gradient is exactly zero and the

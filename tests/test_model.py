@@ -21,6 +21,7 @@ from twistnet.layers import (
     Dropout,
     ReLULayer,
     ResidualBlock,
+    relu,
     softmax_cross_entropy,
 )
 from twistnet.model import (
@@ -94,6 +95,31 @@ def test_same_seed_builds_identical_parameters():
     assert np.array_equal(a.params, b.params)
     c = build_tcn(6, 3, ModelConfig(seed=12))
     assert not np.array_equal(a.params, c.params)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_build_baseline_builds_the_tcn(seed):
+    model = build_baseline(KIND_TCN, 6, 3, ModelConfig(seed=seed))
+    reference = build_tcn(6, 3, ModelConfig(seed=seed))
+    assert model.kind == KIND_TCN
+    assert [layer.kind for layer in model.layers] == [layer.kind for layer in reference.layers]
+    assert model.params.tobytes() == reference.params.tobytes()
+
+
+@pytest.mark.parametrize("kind, count", [(KIND_TCN, 5), (KIND_MLP, 3), (KIND_CNN1D, 2),
+                                         (KIND_LOGISTIC, 0)])
+def test_rectifier_inputs_of_each_kind(kind, count):
+    model = build_baseline(kind, 6, 2, ModelConfig(seed=0))
+    _, cache = forward(model, Rng(1).normal(24, 0.0, 1.0).reshape(4, 6), TRAIN)
+    pairs = list(zip(model.layers, cache["layer_caches"]))
+    found = [z for layer, lc in pairs for z in layer.rectifier_inputs(lc)]
+    assert len(found) == count
+    # a relu layer reports its input, the residual block its two pre-activations
+    assert all(layer.rectifier_inputs(lc)[0] is lc for layer, lc in pairs if layer.kind == "relu")
+    for block, lc in ((layer, lc) for layer, lc in pairs if layer.kind == "residual"):
+        z1, z2 = block.rectifier_inputs(lc)
+        assert np.array_equal(z1, lc[0] @ block.w1.T + block.b1)
+        assert np.array_equal(z2, relu(z1) @ block.w2.T + block.b2)
 
 
 def test_logistic_baseline_parameter_count():

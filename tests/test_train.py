@@ -8,7 +8,7 @@ import pytest
 from twistnet.data import Dataset, PRODUCT_SIGN, stratified_split, synth_interaction
 from twistnet.errors import CapacityError, ConfigError, DataError, ShapeError
 from twistnet.featcomb import CombinationSpec, transform_dataset
-from twistnet.layers import Dense, ReLULayer
+from twistnet.layers import Dense, ReLULayer, ResidualBlock
 from twistnet.model import (
     HIDDEN1,
     KIND_LOGISTIC,
@@ -422,6 +422,13 @@ def test_kink_distance_reads_preactivations():
     model = ModelGraph("tcn", 1, 1, [Dense([[1.0]], [-2.5]), ReLULayer()])
     _, cache = forward(model, np.array([[2.0], [5.0]]), TRAIN)
     assert kink_distance(model, cache) == 0.5
+    # the nearest kink inside a residual block, at its first rectifier and then
+    # its second; the relu before the block sees inputs 2 and 5
+    for b1, b2, want in ((-2.25, -0.5, 0.25), (-1.0, -1.125, 0.125)):
+        block = ResidualBlock([[1.0]], [b1], [[1.0]], [b2])
+        model = ModelGraph("tcn", 1, 1, [Dense([[1.0]], [0.0]), ReLULayer(), block])
+        _, cache = forward(model, np.array([[2.0], [5.0]]), TRAIN)
+        assert kink_distance(model, cache) == want
 
 
 def test_find_check_batch_contract():
